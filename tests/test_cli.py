@@ -2,6 +2,7 @@
 every output format, exit codes, deterministic output, and file emission."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -98,6 +99,8 @@ def test_ghat_chartable_json_with_check(capsys):
     code, out, err = run_cli(capsys, "ghat-chartable", "--check",
                              "--format", "json")
     assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "57a2ca79096ec1cd5f58238c550fa21bf1c85b299aa61207716f6d8aca6d0445")
     payload = json.loads(out)
     assert len(payload["classes"]) == 54
     assert len(payload["characters"]) == 54
@@ -131,6 +134,8 @@ def test_spin_davis_json(capsys):
 def test_spin_decompose_json(capsys):
     code, out, err = run_cli(capsys, "spin-decompose", "--format", "json")
     assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "9bffd9c7476c28e5d24e16d40d3b7c1b889461c1facb323d0e30d6b23240936d")
     payload = json.loads(out)
     assert payload["plus"] == "(2'⊗3')⊕(3⊗2)"
     assert payload["minus"] == "(2⊗3)⊕(3'⊗2')"
