@@ -9,6 +9,7 @@ import io
 import json
 import random
 import sys
+from functools import lru_cache
 
 from .exactfield import GoldenComplex, GoldenNumber, QuadExtNumber
 from .quatmat import (APEX, HyperboloidPoint, HyperboloidPoint2, Quaternion,
@@ -203,7 +204,7 @@ def _cmd_spin_nu(args) -> int:
             exact = spinindex.nu_isolated_2d(matrix, point[2])
             oracle = complex(spinindex.nu_numeric_oracle_2d(matrix, point))
             numeric = exact.real()
-    except (KeyError, TypeError, ValueError) as error:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as error:
         if isinstance(error, (spinindex.NonIsolatedError,
                               spinindex.InconsistentInputError,
                               spinindex.NotApplicableError)):
@@ -405,7 +406,8 @@ def _cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="davisspin",
         description="Exact spin numbers and character theory of the "
@@ -445,8 +447,11 @@ def main(argv=None) -> int:
         "evaluate one spin defect at an isolated fixed point", nu_flags=True)
     add("verify", _cmd_verify,
         "run the full invariant suite and emit a JSON report")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except OSError as error:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .exactfield import GoldenComplex, GoldenNumber, ONE
+from .exactfield import GoldenComplex, GoldenNumber
 from .quatmat import Quaternion
 from . import ghat, icosa
 
@@ -23,26 +23,18 @@ class NotExtendableError(ValueError):
 
 
 class FieldObstructionError(ValueError):
-    """Extension would require a scalar that is not a square in Q(tau, i)."""
+    """Character table entry is not a real algebraic integer of Q(tau), or
+    Galois conjugation does not permute the table rows."""
 
 
 _GC_ZERO = GoldenComplex(0, 0)
 _GC_ONE = GoldenComplex(1, 0)
 
 
-def _mat_identity(n: int) -> Matrix:
-    return tuple(tuple(_GC_ONE if i == j else _GC_ZERO for j in range(n))
-                 for i in range(n))
-
-
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n, m, p = len(a), len(b), len(b[0])
     return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(m)), start=_GC_ZERO)
                        for j in range(p)) for i in range(n))
-
-
-def _mat_scale(a: Matrix, factor: GoldenComplex) -> Matrix:
-    return tuple(tuple(v * factor for v in row) for row in a)
 
 
 def _mat_trace(a: Matrix) -> GoldenComplex:
@@ -270,139 +262,13 @@ def induce_character(l1: str, l2: str) -> Character:
                      _ghat_class_names(), tuple(values))
 
 
-@lru_cache(maxsize=None)
-def _intertwiner_pair(l1: str, l2: str) -> tuple[Matrix, Matrix]:
-    """Matrices B, C with B rho2(g) = rho1(alpha^-1 g) B and
-    C rho1(g) = rho2(alpha g) C, normalized so that B C = C B = identity."""
-    dim = icosa.REP_DIMS[l1]
-    B = _solve_twist_intertwiner(l2, l1, use_alpha_inverse=True)
-    C = _solve_twist_intertwiner(l1, l2, use_alpha_inverse=False)
-    product = _mat_mul(B, C)
-    scalar = product[0][0]
-    if scalar.is_zero() or product != _mat_scale(_mat_identity(dim), scalar):
-        raise FieldObstructionError("intertwiner product is not a nonzero scalar")
-    B = _mat_scale(B, scalar.inverse())
-    identity = _mat_identity(dim)
-    if _mat_mul(B, C) != identity or _mat_mul(C, B) != identity:
-        raise FieldObstructionError("intertwiner normalization failed")
-    return B, C
-
-
-def _solve_twist_intertwiner(source: str, target: str,
-                             use_alpha_inverse: bool) -> Matrix:
-    """One-dimensional solution space of X rho_source(g) = rho_target(tw g) X
-    over the two generators, tw = alpha^-1 or alpha."""
-    dim = icosa.REP_DIMS[source]
-    if icosa.REP_DIMS[target] != dim:
-        raise NotExtendableError("twisted factors have different dimensions")
-    rows = []
-    for g in (icosa.G1, icosa.G2):
-        twisted = icosa.alpha_inverse(g) if use_alpha_inverse else icosa.alpha(g)
-        m_source = rep_image(source, g)
-        m_target = rep_image(target, twisted)
-        for u in range(dim):
-            for v in range(dim):
-                row = [_GC_ZERO] * (dim * dim)
-                for w in range(dim):
-                    row[u * dim + w] = row[u * dim + w] + m_source[w][v]
-                    row[w * dim + v] = row[w * dim + v] - m_target[u][w]
-                rows.append(row)
-    basis = _nullspace(rows, dim * dim)
-    if len(basis) != 1:
-        raise FieldObstructionError(
-            f"intertwiner space has dimension {len(basis)}, expected 1")
-    vec = basis[0]
-    return tuple(tuple(vec[u * dim + v] for v in range(dim)) for u in range(dim))
-
-
-_Int4 = tuple[int, int, int, int]  # (a + b*tau) + (c + d*tau)i
-_I4_ZERO = (0, 0, 0, 0)
-_I4_ONE = (1, 0, 0, 0)
-
-
-def _i4_mul(x: _Int4, y: _Int4) -> _Int4:
-    a1, b1, c1, d1 = x
-    a2, b2, c2, d2 = y
-    return (a1 * a2 + b1 * b2 - c1 * c2 - d1 * d2,
-            a1 * b2 + b1 * a2 + b1 * b2 - c1 * d2 - d1 * c2 - d1 * d2,
-            a1 * c2 + b1 * d2 + c1 * a2 + d1 * b2,
-            a1 * d2 + b1 * c2 + b1 * d2 + c1 * b2 + d1 * a2 + d1 * b2)
-
-
-def _i4_exact_div(x: _Int4, y: _Int4) -> _Int4:
-    """Quotient x / y in Z[tau, i], which must be exact."""
-    conj = (y[0], y[1], -y[2], -y[3])
-    numerator = _i4_mul(x, conj)
-    p, q, _, _ = _i4_mul(y, conj)
-    numerator = _i4_mul(numerator, (p + q, -q, 0, 0))
-    norm = p * p + p * q - q * q
-    quotient = tuple(part // norm for part in numerator)
-    if any(part % norm for part in numerator):
-        raise ArithmeticError("inexact division in Z[tau, i]")
-    return quotient
-
-
-def _i4_to_gc(x: _Int4) -> GoldenComplex:
-    return GoldenComplex(GoldenNumber(x[0], x[1]), GoldenNumber(x[2], x[3]))
-
-
-def _gc_row_to_int4(row: list[GoldenComplex]) -> list[_Int4]:
-    from math import lcm
-    denominator = 1
-    for v in row:
-        for frac in (v.re.a, v.re.b, v.im.a, v.im.b):
-            denominator = lcm(denominator, frac.denominator)
-    return [tuple(int(frac * denominator)
-                  for frac in (v.re.a, v.re.b, v.im.a, v.im.b)) for v in row]
-
-
-def _nullspace(rows: list[list[GoldenComplex]], width: int) -> list[list[GoldenComplex]]:
-    """Nullspace basis: fraction-free forward elimination over Z[tau, i]
-    followed by exact back-substitution."""
-    matrix = [_gc_row_to_int4(row) for row in rows]
-    pivot_cols: list[int] = []
-    row_index = 0
-    previous_pivot = _I4_ONE
-    for col in range(width):
-        pivot = next((r for r in range(row_index, len(matrix))
-                      if matrix[r][col] != _I4_ZERO), None)
-        if pivot is None:
-            continue
-        matrix[row_index], matrix[pivot] = matrix[pivot], matrix[row_index]
-        pivot_row = matrix[row_index]
-        pivot_value = pivot_row[col]
-        for r in range(row_index + 1, len(matrix)):
-            row = matrix[r]
-            factor = row[col]
-            if factor == _I4_ZERO:
-                matrix[r] = [_i4_exact_div(_i4_mul(pivot_value, entry),
-                                           previous_pivot) for entry in row]
-            else:
-                matrix[r] = [_i4_exact_div(
-                    tuple(p - q for p, q in zip(_i4_mul(pivot_value, entry),
-                                                _i4_mul(factor, top))),
-                    previous_pivot) for entry, top in zip(row, pivot_row)]
-        previous_pivot = pivot_value
-        pivot_cols.append(col)
-        row_index += 1
-    free_cols = [c for c in range(width) if c not in pivot_cols]
-    basis = []
-    for free in free_cols:
-        vec = [_GC_ZERO] * width
-        vec[free] = _GC_ONE
-        for r in range(len(pivot_cols) - 1, -1, -1):
-            col = pivot_cols[r]
-            total = _GC_ZERO
-            for c in range(col + 1, width):
-                if matrix[r][c] != _I4_ZERO and not vec[c].is_zero():
-                    total = total + _i4_to_gc(matrix[r][c]) * vec[c]
-            vec[col] = -(total * _i4_to_gc(matrix[r][col]).inverse())
-        basis.append(vec)
-    return basis
-
-
 def extend_character(l1: str, l2: str, sign: int) -> Character:
-    """One of the two extensions of the twist-invariant character l1 (x) l2."""
+    """One of the two extensions of the twist-invariant character l1 (x) l2.
+
+    A coset element g = (p, q, 1) squares to (p alpha^-1(q), q alpha(p), 0).
+    The "+" extension takes the value chi_l1(p alpha^-1(q)) at g, the
+    character of l1 at the first slot of g^2, by the trace identity
+    tr((A (x) B) o swap) = tr(AB); the "-" extension is its negation."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if l1 not in icosa.REP_LABELS or l2 not in icosa.REP_LABELS:
@@ -410,20 +276,15 @@ def extend_character(l1: str, l2: str, sign: int) -> Character:
     if REP_STAR[l1] != l2:
         raise NotExtendableError(
             f"{l1} (x) {l2} is not invariant under the swap-twist")
-    B, C = _intertwiner_pair(l1, l2)
     values = []
     for cls in ghat.conjugacy_classes():
         rep = cls.representative
         if rep.eps == 0:
             x, y = icosa.class_of(rep.p), icosa.class_of(rep.q)
-            values.append(GoldenComplex.coerce(_chi(l1, x) * _chi(l2, y)))
-            continue
-        witness = ghat.coset_witness(cls)
-        trace = _mat_trace(_mat_mul(_mat_mul(rep_image(l1, witness.p), B),
-                                    _mat_mul(rep_image(l2, witness.q), C)))
-        if not trace.im.is_zero():
-            raise FieldObstructionError("coset character value is not real")
-        values.append(trace if sign == 1 else -trace)
+            value = _chi(l1, x) * _chi(l2, y)
+        else:
+            value = sign * _chi(l1, icosa.class_of((rep * rep).p))
+        values.append(GoldenComplex.coerce(value))
     return Character(CharLabel("extended", (l1, l2), sign), "Ghat",
                      _ghat_class_names(), tuple(values))
 

@@ -251,9 +251,12 @@ def davis_table() -> tuple[DavisSpinRow, ...]:
         raise DataInconsistencyError(f"cannot read spin data: {error}") from error
     except json.JSONDecodeError as error:
         raise DataInconsistencyError(f"malformed spin data: {error}") from error
+    if not isinstance(payload, dict) or not isinstance(payload.get("rows"), list):
+        raise DataInconsistencyError(
+            f"spin data {path} is not a JSON object with a list of rows")
     rows = []
     seen = set()
-    for record in payload.get("rows", ()):
+    for record in payload["rows"]:
         try:
             name = ghat.normalize_class_name(record["name"])
             fp_field = record["fp_count"]

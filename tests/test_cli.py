@@ -192,11 +192,16 @@ def test_spin_nu_malformed_json_exits_two(capsys):
 
 
 def test_spin_nu_incomplete_payload_exits_two(capsys):
-    phat = json.dumps({"a": quaternion_json(1)})
-    code, out, err = run_cli(capsys, "spin-nu", "--phat", phat,
-                             "--x", APEX_JSON)
-    assert code == 2
-    assert "payload" in err
+    zero_denominator = {"a": [1, 0], "b": [0, 1]}
+    for phat in (json.dumps({"a": quaternion_json(1)}),
+                 json.dumps({"a": [zero_denominator, *quaternion_json(0)[1:]],
+                             "b": quaternion_json(0), "c": quaternion_json(0),
+                             "d": quaternion_json(-1)})):
+        code, out, err = run_cli(capsys, "spin-nu", "--phat", phat,
+                                 "--x", APEX_JSON)
+        assert code == 2, phat
+        assert out == "" and err.startswith("bad --phat/--x payload: "), err
+        assert err.count("\n") == 1, err
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -247,11 +252,12 @@ def test_verify_report(capsys):
 
 def test_data_override_failure_exits_one(tmp_path, monkeypatch, capsys):
     bad = tmp_path / "table.json"
-    bad.write_text("{not json", encoding="utf-8")
     monkeypatch.setenv("SPININDEX_DATA", str(bad))
-    code, out, err = run_cli(capsys, "spin-davis")
-    assert code == 1
-    assert "data inconsistency" in err
+    for text in ("{not json", "[]", '{"rows": 5}'):
+        bad.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "spin-davis")
+        assert code == 1, text
+        assert err.startswith("data inconsistency") and err.count("\n") == 1, err
 
 
 def test_console_script_runs(tmp_path):

@@ -121,6 +121,24 @@ def test_extend_character_examples():
             assert value.is_zero()
 
 
+def test_coset_value_is_a_class_function():
+    """The closed form reads the 2I class of the first slot p alpha^-1(q) of
+    g^2 at g = (p, q, 1); that class must be the same across each coset
+    class, and the "+" extension of 2 (x) 2' must take chi_2 of it."""
+    eng = ghat._engine()
+    plus = extend_character("2", "2'", 1)
+    for cls in ghat.conjugacy_classes():
+        if not cls.is_coset:
+            continue
+        labels = set()
+        for code in cls.member_codes:
+            triple = eng.decode(code)
+            labels.add(eng.label[eng.mul_triple(triple, triple)[0]])
+        assert len(labels) == 1, (cls.name, labels)
+        assert plus.value_at(cls.name) == GoldenComplex.coerce(
+            icosa.char_2I("2", labels.pop())), cls.name
+
+
 def test_extend_rejects_bad_input():
     with pytest.raises(NotExtendableError):
         extend_character("2", "3", 1)
