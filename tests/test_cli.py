@@ -43,6 +43,8 @@ def parse_csv(text):
 def test_icosa_table_json(capsys):
     code, out, err = run_cli(capsys, "icosa-table", "--format", "json")
     assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "71dbb70f8be0b753d6f1f6a1a7a7ca49a0b1b96a71cf1b8ec057fb3d08e24bc0")
     payload = json.loads(out)
     assert [row["class"] for row in payload["classes"]] == list(icosa.CLASS_LABELS)
     sizes = {row["class"]: row["size"] for row in payload["classes"]}
@@ -76,6 +78,8 @@ def test_icosa_table_pretty(capsys):
 def test_ghat_classes_json(capsys):
     code, out, err = run_cli(capsys, "ghat-classes", "--format", "json")
     assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "162d1cdb3ea67ac0c1e68a48b3dd1aae707975747e6868d9437dfc6d1d9d6126")
     rows = json.loads(out)
     assert len(rows) == 54
     assert sum(row["size"] for row in rows) == 28800
@@ -121,6 +125,8 @@ def test_ghat_chartable_csv(capsys):
 def test_spin_davis_json(capsys):
     code, out, err = run_cli(capsys, "spin-davis", "--format", "json")
     assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "382737a0c6691f995099dfc540db113b4ef9492495159e3606b95129759858b1")
     rows = json.loads(out)
     assert len(rows) == 34
     by_name = {row["class"]: row for row in rows}
@@ -239,6 +245,8 @@ def test_byte_identical_reruns(capsys):
 def test_verify_report(capsys):
     code, out, err = run_cli(capsys, "verify")
     assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "e3f83fdc8f24586137360968b608b8e5f7c6c7d4c296746607302a417d820ec0")
     report = json.loads(out)
     names = [entry["check"] for entry in report]
     assert names == sorted(names)
