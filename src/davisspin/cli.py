@@ -166,10 +166,6 @@ def _parse_scalar(payload):
     return GoldenNumber.from_json(payload)
 
 
-def _parse_complex(payload) -> GoldenComplex:
-    return GoldenComplex.from_json(payload)
-
-
 def _parse_quaternion(payload) -> Quaternion:
     if not isinstance(payload, list) or len(payload) != 4:
         raise ValueError("quaternion must be a list of four scalars")
@@ -198,12 +194,15 @@ def _cmd_spin_nu(args) -> int:
             oracle = float(spinindex.nu_numeric_oracle(matrix, point))
             numeric = exact.real().real
         else:
-            matrix = SpinMatrix2(_parse_complex(phat_payload["a"]),
-                                 _parse_complex(phat_payload["b"]))
+            matrix = SpinMatrix2(GoldenComplex.from_json(phat_payload["a"]),
+                                 GoldenComplex.from_json(phat_payload["b"]))
             point = HyperboloidPoint2([_parse_scalar(part) for part in x_payload])
             exact = spinindex.nu_isolated_2d(matrix, point[2])
             oracle = complex(spinindex.nu_numeric_oracle_2d(matrix, point))
             numeric = exact.real()
+    except OverflowError as error:
+        sys.stderr.write(f"the numeric oracle cannot represent this point: {error}\n")
+        return 1
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as error:
         if isinstance(error, (spinindex.NonIsolatedError,
                               spinindex.InconsistentInputError,

@@ -33,6 +33,28 @@ def _fraction_sqrt(value: Fraction) -> Fraction | None:
     return None
 
 
+def power(base, exponent: int, identity):
+    """base ** exponent by square-and-multiply, starting from identity; a
+    negative exponent inverts the base."""
+    if exponent < 0:
+        base, exponent = base.inverse(), -exponent
+    result = identity
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        base = base * base
+        exponent >>= 1
+    return result
+
+
+def _json_fraction(pair) -> Fraction:
+    if not (isinstance(pair, list) and len(pair) == 2
+            and all(type(n) is int for n in pair)):
+        raise ValueError(
+            f"expected a [numerator, denominator] pair of integers, got {pair!r}")
+    return Fraction(*pair)
+
+
 def _sign_u_plus_v_sqrt5(u: Fraction, v: Fraction) -> int:
     if v == 0:
         return -1 if u < 0 else (0 if u == 0 else 1)
@@ -65,10 +87,6 @@ class GoldenNumber:
     @property
     def b(self) -> Fraction:
         return self._b
-
-    @classmethod
-    def from_rational(cls, value: RationalLike) -> GoldenNumber:
-        return cls(value, 0)
 
     @classmethod
     def coerce(cls, value: GoldenNumber | RationalLike) -> GoldenNumber:
@@ -128,16 +146,7 @@ class GoldenNumber:
         return GoldenNumber(other, 0) * self.inverse()
 
     def __pow__(self, exponent: int) -> GoldenNumber:
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = GoldenNumber(1, 0)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        return power(self, exponent, ONE)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -149,13 +158,12 @@ class GoldenNumber:
         return self._a == other._a and self._b == other._b
 
     def __hash__(self) -> int:
+        if self._b == 0:
+            return hash(self._a)
         return hash((self._a, self._b))
 
     def is_zero(self) -> bool:
         return self._a == 0 and self._b == 0
-
-    def is_rational(self) -> bool:
-        return self._b == 0
 
     def galois(self) -> GoldenNumber:
         return GoldenNumber(self._a + self._b, -self._b)
@@ -229,7 +237,7 @@ class GoldenNumber:
 
     @classmethod
     def from_json(cls, obj: dict) -> GoldenNumber:
-        return cls(Fraction(*obj["a"]), Fraction(*obj["b"]))
+        return cls(_json_fraction(obj["a"]), _json_fraction(obj["b"]))
 
 
 ZERO = GoldenNumber(0, 0)
@@ -312,16 +320,7 @@ class GoldenComplex:
         return GoldenComplex.coerce(other) * self.inverse()
 
     def __pow__(self, exponent: int) -> GoldenComplex:
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = GoldenComplex(1, 0)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        return power(self, exponent, GoldenComplex(1, 0))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction, GoldenNumber)):
@@ -331,13 +330,12 @@ class GoldenComplex:
         return self._re == other._re and self._im == other._im
 
     def __hash__(self) -> int:
+        if self._im.is_zero():
+            return hash(self._re)
         return hash((self._re, self._im))
 
     def is_zero(self) -> bool:
         return self._re.is_zero() and self._im.is_zero()
-
-    def is_real(self) -> bool:
-        return self._im.is_zero()
 
     def galois(self) -> GoldenComplex:
         return GoldenComplex(self._re.galois(), self._im.galois())
@@ -457,7 +455,7 @@ class QuadExtNumber:
 
     def __hash__(self) -> int:
         if self._ext.is_zero():
-            return hash((self._base, ZERO))
+            return hash(self._base)
         return hash((self._base, self._ext, self._radicand))
 
     def is_zero(self) -> bool:
@@ -500,26 +498,3 @@ class QuadExtNumber:
 
 Scalar = Union[GoldenNumber, QuadExtNumber]
 
-
-def golden_mul(x: GoldenNumber, y: GoldenNumber) -> GoldenNumber:
-    return x * y
-
-
-def golden_inverse(x: GoldenNumber) -> GoldenNumber:
-    return x.inverse()
-
-
-def golden_sqrt(x: GoldenNumber) -> GoldenNumber | None:
-    return x.sqrt()
-
-
-def galois_conjugate(x: GoldenNumber | GoldenComplex) -> GoldenNumber | GoldenComplex:
-    return x.galois()
-
-
-def real_embed(x: GoldenNumber | GoldenComplex | QuadExtNumber) -> float | complex:
-    return x.real()
-
-
-def quadext_mul(x: QuadExtNumber, y: QuadExtNumber) -> QuadExtNumber:
-    return x * y

@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .exactfield import power
 from .quatmat import Quaternion, QUAT_ONE
 from . import icosa
 
@@ -40,23 +41,14 @@ class GhatElement:
                            icosa.alpha(self.p).conjugate(), 1)
 
     def __pow__(self, exponent: int) -> GhatElement:
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = IDENTITY
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        return power(self, exponent, IDENTITY)
 
     def order(self) -> int:
-        power = self
+        element = self
         for n in range(1, 121):
-            if power == IDENTITY:
+            if element == IDENTITY:
                 return n
-            power = power * self
+            element = element * self
         raise RuntimeError("element order exceeds the group bound")
 
     def __str__(self) -> str:
@@ -67,10 +59,6 @@ IDENTITY = GhatElement(QUAT_ONE, QUAT_ONE, 0)
 S_INVOLUTION = GhatElement(QUAT_ONE, QUAT_ONE, 1)
 SIGMA_STAR = GhatElement(QUAT_ONE, -QUAT_ONE, 1)
 MINUS_ONE = GhatElement(-QUAT_ONE, -QUAT_ONE, 0)
-
-
-def ghat_mul(x: GhatElement, y: GhatElement) -> GhatElement:
-    return x * y
 
 
 _STAR_SWAP = {"5A": "5B", "5B": "5A", "10A": "10B", "10B": "10A"}
@@ -139,6 +127,13 @@ class _Engine:
         self.alpha = [index[icosa.alpha(x)] for x in elements]
         self.alpha_inv = [index[icosa.alpha_inverse(x)] for x in elements]
         self.label = [icosa.class_of(x) for x in elements]
+        self.generator_triples = (
+            (index[icosa.G1], self.identity, 0),
+            (index[icosa.G2], self.identity, 0),
+            (self.identity, index[icosa.G1], 0),
+            (self.identity, index[icosa.G2], 0),
+            (self.identity, self.identity, 1),
+        )
 
     def mul_triple(self, a: tuple[int, int, int], b: tuple[int, int, int]):
         p1, q1, e1 = a
@@ -217,14 +212,7 @@ def conjugacy_classes() -> tuple[GhatClass, ...]:
     """All 54 conjugacy classes in canonical order
     (subgroup first, then by element order, class size, name)."""
     eng = _engine()
-    generator_triples = [
-        (eng.index[icosa.G1], eng.identity, 0),
-        (eng.index[icosa.G2], eng.identity, 0),
-        (eng.identity, eng.index[icosa.G1], 0),
-        (eng.identity, eng.index[icosa.G2], 0),
-        (eng.identity, eng.identity, 1),
-    ]
-    generators = [(t, eng.inv_triple(t)) for t in generator_triples]
+    generators = [(t, eng.inv_triple(t)) for t in eng.generator_triples]
     seen = bytearray(120 * 120 * 2)
     classes = []
     for p in range(120):
@@ -312,18 +300,11 @@ def group_order() -> int:
 def center() -> tuple[GhatElement, ...]:
     eng = _engine()
     central = []
-    generator_triples = [
-        (eng.index[icosa.G1], eng.identity, 0),
-        (eng.index[icosa.G2], eng.identity, 0),
-        (eng.identity, eng.index[icosa.G1], 0),
-        (eng.identity, eng.index[icosa.G2], 0),
-        (eng.identity, eng.identity, 1),
-    ]
     for cls in conjugacy_classes():
         if cls.size != 1:
             continue
         triple = eng.decode(next(iter(cls.member_codes)))
         if all(eng.mul_triple(triple, g) == eng.mul_triple(g, triple)
-               for g in generator_triples):
+               for g in eng.generator_triples):
             central.append(eng.to_element(eng.encode(triple)))
     return tuple(central)

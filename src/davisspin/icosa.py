@@ -90,11 +90,6 @@ def enumerate_2I() -> tuple[Quaternion, ...]:
 
 
 @lru_cache(maxsize=None)
-def _element_set() -> frozenset[Quaternion]:
-    return frozenset(enumerate_2I())
-
-
-@lru_cache(maxsize=None)
 def _class_table() -> dict[Quaternion, str]:
     re_to_label = {_golden_key(re): label for label, re in CLASS_RE.items()}
     table = {}

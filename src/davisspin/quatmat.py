@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .exactfield import (GoldenNumber, GoldenComplex, QuadExtNumber, Scalar,
-                         ONE, ZERO, TAU)
+                         ONE, TAU, power)
 
 ScalarLike = Union[Scalar, int, Fraction]
 
@@ -26,10 +26,6 @@ def _scalar(value: ScalarLike) -> Scalar:
     return GoldenNumber.coerce(value)
 
 
-def _is_zero(value: Scalar) -> bool:
-    return value.is_zero()
-
-
 class Quaternion:
     """Quaternion with coordinates in Q(tau) or a quadratic extension of it."""
 
@@ -46,10 +42,6 @@ class Quaternion:
     @property
     def re(self) -> Scalar:
         return self._coords[0]
-
-    @classmethod
-    def from_scalar(cls, value: ScalarLike) -> Quaternion:
-        return cls(value, 0, 0, 0)
 
     def __add__(self, other: Quaternion) -> Quaternion:
         if not isinstance(other, Quaternion):
@@ -83,16 +75,7 @@ class Quaternion:
         return NotImplemented
 
     def __pow__(self, exponent: int) -> Quaternion:
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = Quaternion(1, 0, 0, 0)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        return power(self, exponent, QUAT_ONE)
 
     def conjugate(self) -> Quaternion:
         w, x, y, z = self._coords
@@ -103,10 +86,10 @@ class Quaternion:
         return w * w + x * x + y * y + z * z
 
     def inverse(self) -> Quaternion:
-        return self.conjugate() * _inverse_scalar(self.norm_sq())
+        return self.conjugate() * self.norm_sq().inverse()
 
     def is_zero(self) -> bool:
-        return all(_is_zero(c) for c in self._coords)
+        return all(c.is_zero() for c in self._coords)
 
     def is_unit(self) -> bool:
         return self.norm_sq() == ONE
@@ -129,20 +112,15 @@ class Quaternion:
     __repr__ = __str__
 
 
-def _inverse_scalar(value: Scalar) -> Scalar:
-    return value.inverse()
-
-
 QUAT_ONE = Quaternion(1, 0, 0, 0)
-QUAT_I = Quaternion(0, 1, 0, 0)
-QUAT_J = Quaternion(0, 0, 1, 0)
-QUAT_K = Quaternion(0, 0, 0, 1)
 
 
-def _mat_mul(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]):
+def _mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]):
+    """Matrix product over any ring of exact scalars: each sum starts from
+    its first product, so the entry type is the scalars' own."""
     n, m, p = len(a), len(b), len(b[0])
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(m)),
-                           start=GoldenNumber(0)) for j in range(p))
+    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(1, m)),
+                           start=a[i][0] * b[0][j]) for j in range(p))
                  for i in range(n))
 
 
@@ -167,8 +145,9 @@ def _mat_det(rows) -> Scalar:
     return det
 
 
-def _minkowski_check(rows, signs) -> bool:
+def _minkowski_check(rows) -> bool:
     n = len(rows)
+    signs = (1,) * (n - 1) + (-1,)
     for i in range(n):
         for j in range(i, n):
             total = sum((signs[k] * (rows[k][i] * rows[k][j]) for k in range(n)),
@@ -179,21 +158,23 @@ def _minkowski_check(rows, signs) -> bool:
     return True
 
 
-class LorentzMatrix5:
-    """5x5 Lorentz matrix preserving x1^2+...+x4^2-x5^2, future-preserving, det 1."""
+class _LorentzMatrix:
+    """Lorentz matrix of the subclass's size n, preserving
+    x1^2+...+x(n-1)^2-xn^2, future-preserving, det 1."""
 
     __slots__ = ("_rows",)
 
-    _SIGNS = (1, 1, 1, 1, -1)
+    _SIZE = 0
 
     def __init__(self, rows, validate: bool = True) -> None:
+        n = self._SIZE
         self._rows = tuple(tuple(_scalar(v) for v in row) for row in rows)
-        if len(self._rows) != 5 or any(len(r) != 5 for r in self._rows):
-            raise InvalidElementError("expected a 5x5 matrix")
+        if len(self._rows) != n or any(len(r) != n for r in self._rows):
+            raise InvalidElementError(f"expected a {n}x{n} matrix")
         if validate:
-            if not _minkowski_check(self._rows, self._SIGNS):
+            if not _minkowski_check(self._rows):
                 raise InvalidElementError("matrix does not preserve the Lorentz form")
-            if self._rows[4][4].sign() < 0:
+            if self._rows[n - 1][n - 1].sign() < 0:
                 raise InvalidElementError("matrix does not preserve the future cone")
             if not _mat_det(self._rows) == ONE:
                 raise InvalidElementError("matrix does not have determinant one")
@@ -205,28 +186,30 @@ class LorentzMatrix5:
     def __getitem__(self, index: int):
         return self._rows[index]
 
-    def __mul__(self, other: LorentzMatrix5) -> LorentzMatrix5:
-        if not isinstance(other, LorentzMatrix5):
+    def __mul__(self, other):
+        if type(other) is not type(self):
             return NotImplemented
-        return LorentzMatrix5(_mat_mul(self._rows, other._rows), validate=False)
+        return type(self)(_mat_mul(self._rows, other._rows), validate=False)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LorentzMatrix5):
+        if type(other) is not type(self):
             return NotImplemented
         return all(a == b for ra, rb in zip(self._rows, other._rows)
                    for a, b in zip(ra, rb))
 
-    def apply(self, point: HyperboloidPoint) -> HyperboloidPoint:
-        coords = tuple(sum((self._rows[i][j] * point.coords[j] for j in range(5)),
-                           start=GoldenNumber(0)) for i in range(5))
-        return HyperboloidPoint(coords)
+    def apply(self, point):
+        n = self._SIZE
+        coords = tuple(sum((self._rows[i][j] * point.coords[j] for j in range(n)),
+                           start=GoldenNumber(0)) for i in range(n))
+        return type(point)(coords)
 
     def real(self) -> list[list[float]]:
         return [[v.real() for v in row] for row in self._rows]
 
     @classmethod
-    def identity(cls) -> LorentzMatrix5:
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(5)) for i in range(5)),
+    def identity(cls):
+        n = cls._SIZE
+        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)),
                    validate=False)
 
     def __str__(self) -> str:
@@ -235,55 +218,20 @@ class LorentzMatrix5:
     __repr__ = __str__
 
 
-class LorentzMatrix3:
+class LorentzMatrix5(_LorentzMatrix):
+    """5x5 Lorentz matrix preserving x1^2+...+x4^2-x5^2, future-preserving, det 1."""
+
+    __slots__ = ()
+
+    _SIZE = 5
+
+
+class LorentzMatrix3(_LorentzMatrix):
     """3x3 Lorentz matrix preserving x1^2+x2^2-x3^2, future-preserving, det 1."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ()
 
-    _SIGNS = (1, 1, -1)
-
-    def __init__(self, rows, validate: bool = True) -> None:
-        self._rows = tuple(tuple(_scalar(v) for v in row) for row in rows)
-        if len(self._rows) != 3 or any(len(r) != 3 for r in self._rows):
-            raise InvalidElementError("expected a 3x3 matrix")
-        if validate:
-            if not _minkowski_check(self._rows, self._SIGNS):
-                raise InvalidElementError("matrix does not preserve the Lorentz form")
-            if self._rows[2][2].sign() < 0:
-                raise InvalidElementError("matrix does not preserve the future cone")
-            if not _mat_det(self._rows) == ONE:
-                raise InvalidElementError("matrix does not have determinant one")
-
-    @property
-    def rows(self):
-        return self._rows
-
-    def __getitem__(self, index: int):
-        return self._rows[index]
-
-    def __mul__(self, other: LorentzMatrix3) -> LorentzMatrix3:
-        if not isinstance(other, LorentzMatrix3):
-            return NotImplemented
-        return LorentzMatrix3(_mat_mul(self._rows, other._rows), validate=False)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LorentzMatrix3):
-            return NotImplemented
-        return all(a == b for ra, rb in zip(self._rows, other._rows)
-                   for a, b in zip(ra, rb))
-
-    def apply(self, point: HyperboloidPoint2) -> HyperboloidPoint2:
-        coords = tuple(sum((self._rows[i][j] * point.coords[j] for j in range(3)),
-                           start=GoldenNumber(0)) for i in range(3))
-        return HyperboloidPoint2(coords)
-
-    def real(self) -> list[list[float]]:
-        return [[v.real() for v in row] for row in self._rows]
-
-    def __str__(self) -> str:
-        return "\n".join("[" + ", ".join(str(v) for v in row) + "]" for row in self._rows)
-
-    __repr__ = __str__
+    _SIZE = 3
 
 
 class SpinMatrix4:
@@ -365,17 +313,7 @@ class SpinMatrix4:
         return result
 
     def __pow__(self, exponent: int) -> SpinMatrix4:
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = SpinMatrix4.diagonal(QUAT_ONE, QUAT_ONE, validate=False)
-        result._member = True
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        return power(self, exponent, SpinMatrix4.diagonal(QUAT_ONE, QUAT_ONE))
 
     def normalized(self) -> SpinMatrix4:
         if self._scale_sq == ONE:
@@ -466,16 +404,7 @@ class SpinMatrix2:
         return SpinMatrix2(self._a.conjugate(), -self._b, validate=False)
 
     def __pow__(self, exponent: int) -> SpinMatrix2:
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = SpinMatrix2(GoldenComplex(1, 0), GoldenComplex(0, 0), validate=False)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        return power(self, exponent, SpinMatrix2.diagonal(GoldenComplex(1, 0)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpinMatrix2):
@@ -538,76 +467,59 @@ class BallPoint2:
     __repr__ = __str__
 
 
-class HyperboloidPoint:
+class _HyperboloidPoint:
+    """Point (x1,...,xn) with x1^2+...+x(n-1)^2-xn^2 = -1 and xn >= 1, n the
+    subclass's size."""
+
+    __slots__ = ("_coords",)
+
+    _SIZE = 0
+
+    def __init__(self, coords) -> None:
+        self._coords = tuple(_scalar(v) for v in coords)
+        if len(self._coords) != self._SIZE:
+            raise DomainError(f"expected {self._SIZE} coordinates")
+        *space, time = self._coords
+        if sum(x * x for x in space) - time * time != -ONE:
+            raise DomainError("point does not lie on the unit hyperboloid")
+        if (time - ONE).sign() < 0:
+            raise DomainError("point does not lie on the future sheet")
+
+    @property
+    def coords(self):
+        return self._coords
+
+    def __getitem__(self, index: int):
+        return self._coords[index]
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(a == b for a, b in zip(self._coords, other._coords))
+
+    def real(self) -> tuple[float, ...]:
+        return tuple(v.real() for v in self._coords)
+
+    def __str__(self) -> str:
+        return "(" + ", ".join(str(v) for v in self._coords) + ")"
+
+    __repr__ = __str__
+
+
+class HyperboloidPoint(_HyperboloidPoint):
     """Point (x1,...,x5) with x1^2+...+x4^2-x5^2 = -1 and x5 >= 1."""
 
-    __slots__ = ("_coords",)
+    __slots__ = ()
 
-    def __init__(self, coords) -> None:
-        self._coords = tuple(_scalar(v) for v in coords)
-        if len(self._coords) != 5:
-            raise DomainError("expected five coordinates")
-        x1, x2, x3, x4, x5 = self._coords
-        if x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4 - x5 * x5 != -ONE:
-            raise DomainError("point does not lie on the unit hyperboloid")
-        if (x5 - ONE).sign() < 0:
-            raise DomainError("point does not lie on the future sheet")
-
-    @property
-    def coords(self):
-        return self._coords
-
-    def __getitem__(self, index: int):
-        return self._coords[index]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HyperboloidPoint):
-            return NotImplemented
-        return all(a == b for a, b in zip(self._coords, other._coords))
-
-    def real(self) -> tuple[float, ...]:
-        return tuple(v.real() for v in self._coords)
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(v) for v in self._coords) + ")"
-
-    __repr__ = __str__
+    _SIZE = 5
 
 
-class HyperboloidPoint2:
+class HyperboloidPoint2(_HyperboloidPoint):
     """Point (x1, x2, x3) with x1^2+x2^2-x3^2 = -1 and x3 >= 1."""
 
-    __slots__ = ("_coords",)
+    __slots__ = ()
 
-    def __init__(self, coords) -> None:
-        self._coords = tuple(_scalar(v) for v in coords)
-        if len(self._coords) != 3:
-            raise DomainError("expected three coordinates")
-        x1, x2, x3 = self._coords
-        if x1 * x1 + x2 * x2 - x3 * x3 != -ONE:
-            raise DomainError("point does not lie on the unit hyperboloid")
-        if (x3 - ONE).sign() < 0:
-            raise DomainError("point does not lie on the future sheet")
-
-    @property
-    def coords(self):
-        return self._coords
-
-    def __getitem__(self, index: int):
-        return self._coords[index]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HyperboloidPoint2):
-            return NotImplemented
-        return all(a == b for a, b in zip(self._coords, other._coords))
-
-    def real(self) -> tuple[float, ...]:
-        return tuple(v.real() for v in self._coords)
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(v) for v in self._coords) + ")"
-
-    __repr__ = __str__
+    _SIZE = 3
 
 
 APEX = HyperboloidPoint((0, 0, 0, 0, 1))

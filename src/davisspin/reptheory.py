@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import comb
 
 from .exactfield import GoldenComplex, GoldenNumber
-from .quatmat import Quaternion
+from .quatmat import Quaternion, _mat_mul
 from . import ghat, icosa
 
 Matrix = tuple[tuple[GoldenComplex, ...], ...]
@@ -29,12 +29,6 @@ class FieldObstructionError(ValueError):
 
 _GC_ZERO = GoldenComplex(0, 0)
 _GC_ONE = GoldenComplex(1, 0)
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, m, p = len(a), len(b), len(b[0])
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(m)), start=_GC_ZERO)
-                       for j in range(p)) for i in range(n))
 
 
 def _mat_trace(a: Matrix) -> GoldenComplex:
@@ -129,10 +123,6 @@ class MatrixRep:
 
     def __call__(self, q: Quaternion) -> Matrix:
         return self.image(q)
-
-    @property
-    def generator_images(self) -> dict[str, Matrix]:
-        return {"g1": self.image(icosa.G1), "g2": self.image(icosa.G2)}
 
 
 def rep2_of_2I() -> MatrixRep:
@@ -235,10 +225,6 @@ def character_of(rep: MatrixRep) -> Character:
                      icosa.CLASS_LABELS, values)
 
 
-def _chi(label: str, class_label: str) -> GoldenNumber:
-    return icosa.char_2I(label, class_label)
-
-
 def _ghat_class_names() -> tuple[str, ...]:
     return tuple(cls.name for cls in ghat.conjugacy_classes())
 
@@ -255,8 +241,8 @@ def induce_character(l1: str, l2: str) -> Character:
             values.append(_GC_ZERO)
             continue
         x, y = icosa.class_of(rep.p), icosa.class_of(rep.q)
-        value = (_chi(l1, x) * _chi(l2, y)
-                 + _chi(REP_STAR[l2], x) * _chi(REP_STAR[l1], y))
+        value = (icosa.char_2I(l1, x) * icosa.char_2I(l2, y)
+                 + icosa.char_2I(REP_STAR[l2], x) * icosa.char_2I(REP_STAR[l1], y))
         values.append(GoldenComplex.coerce(value))
     return Character(CharLabel("induced", (l1, l2)), "Ghat",
                      _ghat_class_names(), tuple(values))
@@ -281,9 +267,9 @@ def extend_character(l1: str, l2: str, sign: int) -> Character:
         rep = cls.representative
         if rep.eps == 0:
             x, y = icosa.class_of(rep.p), icosa.class_of(rep.q)
-            value = _chi(l1, x) * _chi(l2, y)
+            value = icosa.char_2I(l1, x) * icosa.char_2I(l2, y)
         else:
-            value = sign * _chi(l1, icosa.class_of((rep * rep).p))
+            value = sign * icosa.char_2I(l1, icosa.class_of((rep * rep).p))
         values.append(GoldenComplex.coerce(value))
     return Character(CharLabel("extended", (l1, l2), sign), "Ghat",
                      _ghat_class_names(), tuple(values))

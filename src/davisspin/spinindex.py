@@ -70,14 +70,10 @@ def nu_diag_4d(p: Quaternion, q: Quaternion) -> SpinValue:
     if not (p.is_unit() and q.is_unit()):
         raise InconsistentInputError("rotation entries must be unit quaternions")
     difference = p.re - q.re
-    if _is_zero_scalar(difference):
+    if difference.is_zero():
         raise NonIsolatedError("equal real parts: the fixed point is not isolated")
     value = _scalar_quotient(GoldenNumber(1), difference + difference)
     return SpinValue(GoldenComplex.coerce(_as_golden(value)))
-
-
-def _is_zero_scalar(value: Scalar) -> bool:
-    return value.is_zero()
 
 
 def _as_golden(value: Scalar) -> GoldenNumber:
@@ -99,7 +95,7 @@ def nu_isolated_4d(fp: IsolatedFixedPoint4) -> SpinValue:
     if eta4(matrix).apply(fp.x) != fp.x:
         raise InconsistentInputError("the point is not fixed by the isometry")
     difference = matrix.a.re - matrix.d.re
-    if _is_zero_scalar(difference):
+    if difference.is_zero():
         raise NonIsolatedError("equal diagonal real parts: fixed point not isolated")
     value = _scalar_quotient(fp.x[4], difference + difference)
     return SpinValue(GoldenComplex.coerce(_as_golden(value)))
@@ -238,6 +234,12 @@ def _data_path():
     return resources.files("davisspin").joinpath("data/davis_table6.json")
 
 
+def _json_int(value, field: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{field} must be a JSON integer, got {value!r}")
+    return value
+
+
 def davis_table() -> tuple[DavisSpinRow, ...]:
     """The recorded per-class fixed-point rows, in recorded order."""
     path = _data_path()
@@ -260,14 +262,14 @@ def davis_table() -> tuple[DavisSpinRow, ...]:
         try:
             name = ghat.normalize_class_name(record["name"])
             fp_field = record["fp_count"]
-            fp_count = None if fp_field == "inf" else int(fp_field)
+            fp_count = None if fp_field == "inf" else _json_int(fp_field, "fp_count")
             spin_a, spin_b = record["spin"]
             row = DavisSpinRow(
                 name=name,
-                order=int(record["ord"]),
-                size=int(record["size"]),
+                order=_json_int(record["ord"], "ord"),
+                size=_json_int(record["size"], "size"),
                 fp_count=fp_count,
-                spin=GoldenNumber(int(spin_a), int(spin_b)),
+                spin=GoldenNumber(_json_int(spin_a, "spin"), _json_int(spin_b, "spin")),
                 provenance=str(record["provenance"]),
                 minus=ghat.normalize_class_name(record["minus"]),
             )

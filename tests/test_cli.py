@@ -8,13 +8,17 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 import davisspin
 from davisspin import cli, ghat, icosa, spinindex
-from davisspin.exactfield import GoldenComplex, GoldenNumber
+from davisspin.exactfield import GoldenComplex, GoldenNumber, TAU
+from davisspin.quatmat import APEX, Quaternion, SpinMatrix4, eta4
 
 
 def run_cli(capsys, *argv):
@@ -180,6 +184,21 @@ def test_spin_nu_two_dimensional(capsys):
     assert float(payload["agreement"]) < 1e-9
 
 
+def far_fixed_point_payload(k):
+    """diag(5A, 10B) conjugated by the boost B = [[c, s], [s, c]],
+    c, s = (tau^k +- tau^-k) / 2, with its fixed point B . apex."""
+    up, down = TAU ** k, TAU ** -k
+    c, s = Quaternion((up + down) / 2), Quaternion((up - down) / 2)
+    boost = SpinMatrix4(c, s, s, c)
+    phat = boost * SpinMatrix4.diagonal(icosa.class_representative("5A"),
+                                        icosa.class_representative("10B")) \
+        * boost.inverse()
+    entries = {key: [part.to_json() for part in getattr(phat, key).coords]
+               for key in "abcd"}
+    point = [part.to_json() for part in eta4(boost).apply(APEX).coords]
+    return json.dumps(entries), json.dumps(point)
+
+
 def test_spin_nu_non_isolated_exits_one(capsys):
     phat = json.dumps({"a": quaternion_json(0, 1), "b": quaternion_json(0),
                        "c": quaternion_json(0), "d": quaternion_json(0, 1)})
@@ -188,6 +207,11 @@ def test_spin_nu_non_isolated_exits_one(capsys):
     assert code == 1
     assert out == ""
     assert "isolated" in err
+    # exact nu is fine, but the point's coordinates overflow a float
+    phat, x = far_fixed_point_payload(800)
+    code, out, err = run_cli(capsys, "spin-nu", "--phat", phat, "--x", x)
+    assert code == 1 and out == ""
+    assert "numeric oracle" in err and err.count("\n") == 1, err
 
 
 def test_spin_nu_malformed_json_exits_two(capsys):
@@ -198,16 +222,44 @@ def test_spin_nu_malformed_json_exits_two(capsys):
 
 
 def test_spin_nu_incomplete_payload_exits_two(capsys):
-    zero_denominator = {"a": [1, 0], "b": [0, 1]}
+    bad_scalars = ({"a": [1, 0], "b": [0, 1]}, {"a": [True, 1], "b": [0, 1]},
+                   {"a": [1.5, 1], "b": [0, 1]}, {"a": ["1", 1], "b": [0, 1]},
+                   {"a": [], "b": [0, 1]})
     for phat in (json.dumps({"a": quaternion_json(1)}),
-                 json.dumps({"a": [zero_denominator, *quaternion_json(0)[1:]],
-                             "b": quaternion_json(0), "c": quaternion_json(0),
-                             "d": quaternion_json(-1)})):
+                 *(json.dumps({"a": [bad, *quaternion_json(0)[1:]],
+                               "b": quaternion_json(0), "c": quaternion_json(0),
+                               "d": quaternion_json(-1)}) for bad in bad_scalars)):
         code, out, err = run_cli(capsys, "spin-nu", "--phat", phat,
                                  "--x", APEX_JSON)
         assert code == 2, phat
         assert out == "" and err.startswith("bad --phat/--x payload: "), err
         assert err.count("\n") == 1, err
+
+
+_small_int = st.integers(-3, 3)
+_golden_json_st = st.builds(lambda a, b, c, d: {"a": [a, b], "b": [c, d]},
+                            _small_int, _small_int, _small_int, _small_int)
+_json_st = st.recursive(
+    st.one_of(st.none(), st.booleans(), _small_int, st.floats(),
+              st.text(max_size=2), _golden_json_st),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(
+        st.sampled_from(("a", "b", "c", "d", "re", "im", "base", "ext",
+                         "radicand", "scale_sq")), inner, max_size=5),
+    max_leaves=24)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dim=st.sampled_from(("4", "2")), phat=_json_st, x=_json_st)
+def test_spin_nu_fuzzed_payloads(dim, phat, x):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        # the "=" form keeps argparse from reading a payload such as
+        # "-1e+16" as an option
+        code = cli.main(["spin-nu", "--dim", dim, f"--phat={json.dumps(phat)}",
+                         f"--x={json.dumps(x)}"])
+    assert code in (0, 1, 2)
+    if code:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1, err.getvalue()
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -261,11 +313,23 @@ def test_verify_report(capsys):
 def test_data_override_failure_exits_one(tmp_path, monkeypatch, capsys):
     bad = tmp_path / "table.json"
     monkeypatch.setenv("SPININDEX_DATA", str(bad))
-    for text in ("{not json", "[]", '{"rows": 5}'):
+    bundled = Path(davisspin.__file__).parent / "data" / "davis_table6.json"
+
+    def with_field(field, value):
+        payload = json.loads(bundled.read_text(encoding="utf-8"))
+        payload["rows"][1][field] = value
+        return json.dumps(payload)
+
+    non_integers = [with_field(field, value) for field, value in (
+        ("ord", True), ("size", 2.9), ("size", "40"), ("fp_count", "2"),
+        ("fp_count", 2.0), ("spin", [0, True]), ("spin", ["0", 0]))]
+    for text in ("{not json", "[]", '{"rows": 5}', *non_integers):
         bad.write_text(text, encoding="utf-8")
         code, out, err = run_cli(capsys, "spin-davis")
         assert code == 1, text
         assert err.startswith("data inconsistency") and err.count("\n") == 1, err
+        if text in non_integers:
+            assert "1×3+3×1" in err and "JSON integer" in err, err
 
 
 def test_console_script_runs(tmp_path):

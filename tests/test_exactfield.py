@@ -9,9 +9,8 @@ import hypothesis.strategies as st
 
 from davisspin.exactfield import (GoldenNumber, GoldenComplex, QuadExtNumber,
                                   TowerMismatchError, ZERO, ONE, TAU, SQRT5,
-                                  KAPPA_RADICAND, golden_mul, golden_inverse,
-                                  golden_sqrt, galois_conjugate, real_embed,
-                                  quadext_mul)
+                                  KAPPA_RADICAND)
+from davisspin.quatmat import Quaternion
 
 fractions_st = st.fractions(min_value=-20, max_value=20, max_denominator=16)
 golden_st = st.builds(GoldenNumber, fractions_st, fractions_st)
@@ -29,7 +28,7 @@ def test_defining_relation():
 @given(x=golden_st, y=golden_st, z=golden_st)
 def test_ring_axioms(x, y, z):
     assert x + y == y + x
-    assert golden_mul(x, y) == golden_mul(y, x)
+    assert x * y == y * x
     assert (x + y) + z == x + (y + z)
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
@@ -40,58 +39,56 @@ def test_ring_axioms(x, y, z):
 
 @given(x=nonzero_golden_st)
 def test_multiplicative_inverse(x):
-    assert golden_mul(x, golden_inverse(x)) == ONE
+    assert x * x.inverse() == ONE
 
 
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        golden_inverse(ZERO)
+        ZERO.inverse()
 
 
 @given(x=golden_st, y=golden_st)
 def test_galois_is_ring_automorphism(x, y):
-    assert galois_conjugate(x + y) == galois_conjugate(x) + galois_conjugate(y)
-    assert galois_conjugate(golden_mul(x, y)) == golden_mul(
-        galois_conjugate(x), galois_conjugate(y))
-    assert galois_conjugate(galois_conjugate(x)) == x
+    assert (x + y).galois() == x.galois() + y.galois()
+    assert (x * y).galois() == x.galois() * y.galois()
+    assert x.galois().galois() == x
 
 
 def test_galois_on_tau():
-    assert galois_conjugate(TAU) == 1 - TAU
-    assert galois_conjugate(SQRT5) == -SQRT5
+    assert TAU.galois() == 1 - TAU
+    assert SQRT5.galois() == -SQRT5
 
 
 @given(x=golden_st, y=golden_st)
 def test_real_embed_is_homomorphism(x, y):
-    scale = max(1.0, abs(real_embed(x)), abs(real_embed(y)),
-                abs(real_embed(x * y)))
-    assert abs(real_embed(x + y) - (real_embed(x) + real_embed(y))) <= 1e-12 * scale
-    assert abs(real_embed(x * y) - real_embed(x) * real_embed(y)) <= 1e-12 * scale
+    scale = max(1.0, abs(x.real()), abs(y.real()), abs((x * y).real()))
+    assert abs((x + y).real() - (x.real() + y.real())) <= 1e-12 * scale
+    assert abs((x * y).real() - x.real() * y.real()) <= 1e-12 * scale
 
 
 @given(x=golden_st)
 def test_sign_matches_real_embedding(x):
-    embedded = real_embed(x)
+    embedded = x.real()
     if abs(embedded) > 1e-9:
         assert x.sign() == (1 if embedded > 0 else -1)
 
 
 @given(x=golden_st)
 def test_sqrt_of_square_roundtrip(x):
-    root = golden_sqrt(x * x)
+    root = (x * x).sqrt()
     assert root is not None
     assert root * root == x * x
     assert root.sign() >= 0
 
 
 def test_sqrt_examples():
-    assert golden_sqrt(GoldenNumber(4)) == GoldenNumber(2)
-    assert golden_sqrt(TAU + 1) == TAU
-    assert golden_sqrt(GoldenNumber(5)) == SQRT5
-    assert golden_sqrt(TAU - 1) is None
-    assert golden_sqrt(GoldenNumber(2)) is None
-    assert golden_sqrt(GoldenNumber(-1)) is None
-    assert golden_sqrt(ZERO) == ZERO
+    assert GoldenNumber(4).sqrt() == GoldenNumber(2)
+    assert (TAU + 1).sqrt() == TAU
+    assert GoldenNumber(5).sqrt() == SQRT5
+    assert (TAU - 1).sqrt() is None
+    assert GoldenNumber(2).sqrt() is None
+    assert GoldenNumber(-1).sqrt() is None
+    assert ZERO.sqrt() == ZERO
 
 
 @given(x=golden_st)
@@ -113,6 +110,34 @@ def test_canonical_form_unique(x, y):
         assert str(x) == str(y) and hash(x) == hash(y)
     else:
         assert str(x) != str(y)
+
+
+def _equal_forms(value):
+    """``value`` as a GoldenNumber, as QuadExtNumbers with zero kappa part
+    over two radicands, as a GoldenComplex with zero imaginary part and, when
+    rational, as a Fraction and, when integral, as an int."""
+    golden = GoldenNumber.coerce(value)
+    forms = [golden, QuadExtNumber(golden, 0, KAPPA_RADICAND),
+             QuadExtNumber(golden, 0, GoldenNumber(2)), GoldenComplex(golden, 0)]
+    if golden.b == 0:
+        forms.append(golden.a)
+        if golden.a.denominator == 1:
+            forms.append(int(golden.a))
+    return forms
+
+
+@given(value=st.one_of(st.integers(-20, 20), fractions_st, golden_st),
+       coords=st.lists(golden_st, min_size=4, max_size=4), data=st.data())
+def test_equal_values_hash_equal(value, coords, data):
+    forms = _equal_forms(value)
+    x, y = (data.draw(st.sampled_from(forms)) for _ in range(2))
+    # quaternions whose coordinates mix the golden field and its extensions
+    p, q = (Quaternion(*(data.draw(st.sampled_from(_equal_forms(c)[:3]))
+                         for c in coords)) for _ in range(2))
+    assert p == q
+    for a, b in ((x, y), (p, q)):
+        if a == b:
+            assert hash(a) == hash(b), (a, b)
 
 
 @given(x=complex_st, y=complex_st, z=complex_st)
@@ -148,7 +173,7 @@ def test_quadext_arithmetic(bx, ex, by, ey):
     d = KAPPA_RADICAND
     x = QuadExtNumber(bx, ex, d)
     y = QuadExtNumber(by, ey, d)
-    assert quadext_mul(x, y) == quadext_mul(y, x)
+    assert x * y == y * x
     assert (x + y) - y == x
     kappa = QuadExtNumber(0, 1, d)
     assert kappa * kappa == d
@@ -160,7 +185,7 @@ def test_quadext_tower_mismatch():
     x = QuadExtNumber(1, 1, KAPPA_RADICAND)
     y = QuadExtNumber(1, 1, GoldenNumber(2))
     with pytest.raises(TowerMismatchError):
-        quadext_mul(x, y)
+        x * y
     # purely-base values belong to every tower
     z = QuadExtNumber(TAU, 0, GoldenNumber(2))
     assert x * z == x * TAU
@@ -173,7 +198,7 @@ def test_quadext_sign_and_embedding():
     assert (-kappa).sign() < 0
     x = QuadExtNumber(-3, 1, d)  # sqrt(1+3tau) = 2.437... < 3
     assert x.sign() < 0
-    assert abs(real_embed(x) - (-3 + (1 + 3 * (1 + 5 ** 0.5) / 2) ** 0.5)) < 1e-12
+    assert abs(x.real() - (-3 + (1 + 3 * (1 + 5 ** 0.5) / 2) ** 0.5)) < 1e-12
     assert QuadExtNumber(TAU, 0, d).golden_part() == TAU
     with pytest.raises(ValueError):
         kappa.golden_part()

@@ -33,7 +33,6 @@ def test_element_arithmetic_axioms():
         assert ghat.IDENTITY * x == x
         assert x * x.inverse() == ghat.IDENTITY
         assert x.inverse() * x == ghat.IDENTITY
-        assert ghat.ghat_mul(x, y) == x * y
 
 
 def test_twist_relation():

@@ -314,6 +314,11 @@ def test_zeta2_examples_and_roundtrip():
 
 
 def test_verify_lift_dimension_mismatch():
+    identity3 = LorentzMatrix3.identity()
+    assert identity3 == LorentzMatrix3(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     with pytest.raises(TypeError):
-        verify_lift(SpinMatrix4.diagonal(QUAT_ONE, QUAT_ONE),
-                    LorentzMatrix3(((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+        verify_lift(SpinMatrix4.diagonal(QUAT_ONE, QUAT_ONE), identity3)
+    assert LorentzMatrix5.identity() != identity3
+    assert APEX != APEX2
+    with pytest.raises(TypeError):
+        LorentzMatrix5.identity() * identity3
