@@ -450,6 +450,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv[:1] == ["spin-nu"]:
+        # "--x -1e+16" would make argparse take the payload for an option
+        for i in range(len(argv) - 2, 0, -1):
+            if argv[i] in ("--phat", "--x"):
+                argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)

@@ -3,6 +3,7 @@ real quadratic extensions Q(tau, sqrt(d))."""
 
 from __future__ import annotations
 
+import operator
 import re as _re
 from fractions import Fraction
 from math import isqrt
@@ -33,16 +34,16 @@ def _fraction_sqrt(value: Fraction) -> Fraction | None:
     return None
 
 
-def power(base, exponent: int, identity):
-    """base ** exponent by square-and-multiply, starting from identity; a
-    negative exponent inverts the base."""
+def power(base, exponent: int, identity, mul=operator.mul):
+    """base ** exponent by square-and-multiply under mul, starting from
+    identity; a negative exponent inverts the base."""
     if exponent < 0:
         base, exponent = base.inverse(), -exponent
     result = identity
     while exponent:
         if exponent & 1:
-            result = result * base
-        base = base * base
+            result = mul(result, base)
+        base = mul(base, base)
         exponent >>= 1
     return result
 
@@ -444,8 +445,9 @@ class QuadExtNumber:
         return self._lift(other) * self.inverse()
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction, GoldenNumber)):
-            return self._ext.is_zero() and self._base == GoldenNumber.coerce(other)
+        if isinstance(other, (int, Fraction, GoldenNumber, GoldenComplex)):
+            # a value with no imaginary or kappa part compares as its GoldenNumber
+            return self._ext.is_zero() and other == self._base
         if not isinstance(other, QuadExtNumber):
             return NotImplemented
         if self._ext.is_zero() and other._ext.is_zero():

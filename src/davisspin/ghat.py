@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 
 from .exactfield import power
 from .quatmat import Quaternion, QUAT_ONE
@@ -74,6 +75,7 @@ def _label_key(label: str) -> tuple[int, str]:
     return (int(label), "")
 
 
+@lru_cache(maxsize=None)
 def _pair_name(x: str, y: str) -> str:
     partner = (star_label(y), star_label(x))
     if (x, y) == partner:
@@ -111,29 +113,32 @@ def normalize_class_name(name: str) -> str:
     raise KeyError(f"not a class name: {name!r}")
 
 
+# (p, q, 1) squares to (x, q*alpha(p), 0) with x = p*alpha^-1(q), and it is
+# conjugate to (1, w, 1) with alpha^-1(w) conjugate to x; [1×l] holds (1, w, 1)
+# when -w lies in class l, so the coset class is [1×m(label(x))] with
+# m(l) = star(label(-x)).
+_COSET_LABEL = {"1": "2", "2": "1", "3": "6", "6": "3", "4": "4",
+                "5A": "10A", "5B": "10B", "10A": "5A", "10B": "5B"}
+
+
 class _Engine:
-    """Integer-indexed multiplication machinery for the full group."""
+    """The group on integer triples (p, q, eps), p and q indices into
+    icosa.enumerate_2I(), with closed-form class names and orders."""
 
     def __init__(self) -> None:
-        elements = icosa.enumerate_2I()
-        index = {q: i for i, q in enumerate(elements)}
-        n = len(elements)
-        self.elements = elements
-        self.index = index
-        self.identity = index[QUAT_ONE]
-        self.mul = [[index[x * y] for y in elements] for x in elements]
-        self.inv = [index[x.conjugate()] for x in elements]
-        self.neg = [index[-x] for x in elements]
-        self.alpha = [index[icosa.alpha(x)] for x in elements]
-        self.alpha_inv = [index[icosa.alpha_inverse(x)] for x in elements]
-        self.label = [icosa.class_of(x) for x in elements]
-        self.generator_triples = (
-            (index[icosa.G1], self.identity, 0),
-            (index[icosa.G2], self.identity, 0),
-            (self.identity, index[icosa.G1], 0),
-            (self.identity, index[icosa.G2], 0),
-            (self.identity, self.identity, 1),
-        )
+        tables = icosa.tables()
+        self.elements = icosa.enumerate_2I()
+        self.index = tables.index
+        self.mul = tables.mul
+        self.neg = tables.neg
+        self.alpha = tables.alpha
+        self.alpha_inv = tables.alpha_inv
+        self.label = tables.label
+        self.identity = (self.index[QUAT_ONE], self.index[QUAT_ONE], 0)
+        one = self.identity[0]
+        g1, g2 = self.index[icosa.G1], self.index[icosa.G2]
+        self.generator_triples = ((g1, one, 0), (g2, one, 0), (one, g1, 0),
+                                  (one, g2, 0), (one, one, 1))
 
     def mul_triple(self, a: tuple[int, int, int], b: tuple[int, int, int]):
         p1, q1, e1 = a
@@ -143,32 +148,29 @@ class _Engine:
         return (self.mul[p1][self.alpha_inv[q2]],
                 self.mul[q1][self.alpha[p2]], 1 ^ e2)
 
-    def inv_triple(self, a: tuple[int, int, int]):
-        p, q, e = a
-        if e == 0:
-            return (self.inv[p], self.inv[q], 0)
-        return (self.inv[self.alpha_inv[q]], self.inv[self.alpha[p]], 1)
-
-    def encode(self, triple: tuple[int, int, int]) -> int:
+    def class_name(self, triple: tuple[int, int, int]) -> str:
         p, q, e = triple
-        return (p * 120 + q) * 2 + e
+        if e == 0:
+            return _pair_name(self.label[p], self.label[q])
+        return _coset_name(_COSET_LABEL[self.label[self.mul[p][self.alpha_inv[q]]]])
 
-    def decode(self, code: int) -> tuple[int, int, int]:
-        e = code & 1
-        pq = code >> 1
-        return (pq // 120, pq % 120, e)
+    def order(self, triple: tuple[int, int, int]) -> int:
+        p, q, e = triple
+        if e == 0:
+            return lcm(icosa.CLASS_ORDERS[self.label[p]], icosa.CLASS_ORDERS[self.label[q]])
+        return 2 * icosa.CLASS_ORDERS[self.label[self.mul[p][self.alpha_inv[q]]]]
 
-    def to_element(self, code: int) -> GhatElement:
-        p, q, e = self.decode(code)
+    def to_element(self, triple: tuple[int, int, int]) -> GhatElement:
+        p, q, e = triple
         return GhatElement(self.elements[p], self.elements[q], e)
 
-    def from_element(self, element: GhatElement) -> int:
+    def triple(self, element: GhatElement) -> tuple[int, int, int]:
         p = self.index.get(element.p)
         q = self.index.get(element.q)
         if p is None or q is None:
             raise icosa.MembershipError(
                 "element components are not unit icosians")
-        return self.encode((p, q, element.eps))
+        return (p, q, element.eps)
 
 
 @lru_cache(maxsize=None)
@@ -178,33 +180,17 @@ def _engine() -> _Engine:
 
 @dataclass(frozen=True)
 class GhatClass:
-    """Conjugacy class: canonical name, a representative, all member codes."""
+    """Conjugacy class: canonical name, its member of smallest index triple,
+    element order and size."""
 
     name: str
     representative: GhatElement
     order: int
     size: int
     is_coset: bool
-    member_codes: frozenset[int]
-
-    @property
-    def members(self) -> tuple[GhatElement, ...]:
-        eng = _engine()
-        return tuple(eng.to_element(code) for code in sorted(self.member_codes))
 
     def __str__(self) -> str:
         return f"{self.name} (order {self.order}, size {self.size})"
-
-
-def _class_name_of_orbit(eng: _Engine, codes: frozenset[int]) -> str:
-    sample = eng.decode(next(iter(codes)))
-    if sample[2] == 0:
-        return _pair_name(eng.label[sample[0]], eng.label[sample[1]])
-    for code in codes:
-        p, q, e = eng.decode(code)
-        if p == eng.identity:
-            return _coset_name(eng.label[eng.neg[q]])
-    raise RuntimeError("coset class contains no element with trivial first slot")
 
 
 @lru_cache(maxsize=None)
@@ -212,85 +198,57 @@ def conjugacy_classes() -> tuple[GhatClass, ...]:
     """All 54 conjugacy classes in canonical order
     (subgroup first, then by element order, class size, name)."""
     eng = _engine()
-    generators = [(t, eng.inv_triple(t)) for t in eng.generator_triples]
-    seen = bytearray(120 * 120 * 2)
-    classes = []
+    first: dict[str, tuple[int, int, int]] = {}
+    sizes: dict[str, int] = {}
     for p in range(120):
         for q in range(120):
             for e in (0, 1):
-                seed = (p * 120 + q) * 2 + e
-                if seen[seed]:
-                    continue
-                orbit = {seed}
-                frontier = [(p, q, e)]
-                seen[seed] = 1
-                while frontier:
-                    current = frontier.pop()
-                    for gen, gen_inv in generators:
-                        conjugate = eng.mul_triple(gen, eng.mul_triple(current, gen_inv))
-                        code = eng.encode(conjugate)
-                        if not seen[code]:
-                            seen[code] = 1
-                            orbit.add(code)
-                            frontier.append(conjugate)
-                codes = frozenset(orbit)
-                name = _class_name_of_orbit(eng, codes)
-                representative = eng.to_element(min(codes))
-                classes.append(GhatClass(
-                    name=name,
-                    representative=representative,
-                    order=representative.order(),
-                    size=len(codes),
-                    is_coset=name.startswith("["),
-                    member_codes=codes))
+                name = eng.class_name((p, q, e))
+                first.setdefault(name, (p, q, e))
+                sizes[name] = sizes.get(name, 0) + 1
+    classes = [GhatClass(name=name, representative=eng.to_element(triple),
+                         order=eng.order(triple), size=sizes[name],
+                         is_coset=name.startswith("["))
+               for name, triple in first.items()]
     classes.sort(key=lambda c: (c.is_coset, c.order, c.size, c.name))
     return tuple(classes)
 
 
 @lru_cache(maxsize=None)
-def _code_to_class() -> dict[int, GhatClass]:
-    lookup = {}
-    for cls in conjugacy_classes():
-        for code in cls.member_codes:
-            lookup[code] = cls
-    return lookup
+def _classes_by_name() -> dict[str, GhatClass]:
+    return {cls.name: cls for cls in conjugacy_classes()}
+
+
+def _class_of_triple(triple: tuple[int, int, int]) -> GhatClass:
+    return _classes_by_name()[_engine().class_name(triple)]
 
 
 def class_of_element(element: GhatElement) -> GhatClass:
-    return _code_to_class()[_engine().from_element(element)]
+    return _class_of_triple(_engine().triple(element))
 
 
 def class_name(element: GhatElement) -> str:
     return class_of_element(element).name
 
 
-@lru_cache(maxsize=None)
 def class_by_name(name: str) -> GhatClass:
-    canonical = normalize_class_name(name)
-    for cls in conjugacy_classes():
-        if cls.name == canonical:
-            return cls
-    raise KeyError(f"no such conjugacy class: {name!r}")
+    cls = _classes_by_name().get(normalize_class_name(name))
+    if cls is None:
+        raise KeyError(f"no such conjugacy class: {name!r}")
+    return cls
 
 
 def minus_class(cls: GhatClass) -> GhatClass:
     """Class of (-1, -1, 0) times the class."""
-    return class_of_element(MINUS_ONE * cls.representative)
+    eng = _engine()
+    p, q, e = eng.triple(cls.representative)
+    return _class_of_triple((eng.neg[p], eng.neg[q], e))
 
 
 def power_map(cls: GhatClass, exponent: int) -> GhatClass:
-    return class_of_element(cls.representative ** exponent)
-
-
-def coset_witness(cls: GhatClass) -> GhatElement:
-    """Member of a coset class of the form (1, w, 1)."""
-    if not cls.is_coset:
-        raise ValueError(f"{cls.name} is a subgroup class")
     eng = _engine()
-    for code in sorted(cls.member_codes):
-        if code // 2 // 120 == eng.identity:
-            return eng.to_element(code)
-    raise RuntimeError("coset class has no member with trivial first factor")
+    return _class_of_triple(power(eng.triple(cls.representative), exponent % cls.order,
+                                  eng.identity, eng.mul_triple))
 
 
 def group_order() -> int:
@@ -298,13 +256,4 @@ def group_order() -> int:
 
 
 def center() -> tuple[GhatElement, ...]:
-    eng = _engine()
-    central = []
-    for cls in conjugacy_classes():
-        if cls.size != 1:
-            continue
-        triple = eng.decode(next(iter(cls.member_codes)))
-        if all(eng.mul_triple(triple, g) == eng.mul_triple(g, triple)
-               for g in eng.generator_triples):
-            central.append(eng.to_element(eng.encode(triple)))
-    return tuple(central)
+    return tuple(cls.representative for cls in conjugacy_classes() if cls.size == 1)

@@ -4,11 +4,12 @@ order-10 generators, and the distinguished outer automorphism."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 
-from .exactfield import GoldenNumber, ONE, ZERO, TAU
+from .exactfield import GoldenNumber, ONE, ZERO, TAU, power
 from .quatmat import Quaternion, QUAT_ONE
 
 
@@ -47,13 +48,9 @@ REP_DIMS = {"1": 1, "2": 2, "2'": 2, "3": 3, "3'": 3, "4": 4, "4'": 4,
             "5": 5, "6": 6}
 
 
-def _golden_key(value: GoldenNumber) -> tuple[int, int, int, int]:
-    return (value.a.numerator, value.a.denominator,
-            value.b.numerator, value.b.denominator)
-
-
 def element_key(q: Quaternion) -> tuple:
-    return tuple(_golden_key(c) for c in q.coords)
+    return tuple((c.a.numerator, c.a.denominator, c.b.numerator, c.b.denominator)
+                 for c in q.coords)
 
 
 def _is_even_permutation(perm: tuple[int, ...]) -> bool:
@@ -89,30 +86,104 @@ def enumerate_2I() -> tuple[Quaternion, ...]:
     return tuple(ordered)
 
 
+_HAMILTON = (((0, 0, 1), (1, 1, -1), (2, 2, -1), (3, 3, -1)),
+             ((0, 1, 1), (1, 0, 1), (2, 3, 1), (3, 2, -1)),
+             ((0, 2, 1), (1, 3, -1), (2, 0, 1), (3, 1, 1)),
+             ((0, 3, 1), (1, 2, 1), (2, 1, -1), (3, 0, 1)))
+
+
+def _doubled(value: GoldenNumber) -> tuple[int, int]:
+    """(2a, 2b) for value = a + b*tau with a, b in Z/2."""
+    a, b = 2 * value.a, 2 * value.b
+    if a.denominator != 1 or b.denominator != 1:
+        raise RuntimeError(f"coordinate outside Z[tau]/2: {value}")
+    return (int(a), int(b))
+
+
+def _icosian_product(x: tuple, y: tuple) -> tuple:
+    """Hamilton product of two icosians, each given as four doubled
+    coordinates (2a, 2b); tau^2 = tau + 1, and every halving must be exact."""
+    coords = []
+    for terms in _HAMILTON:
+        a_part = b_part = 0
+        for i, j, sign in terms:
+            (a, b), (c, d) = x[i], y[j]
+            bd = b * d
+            a_part += sign * (a * c + bd)
+            b_part += sign * (a * d + b * c + bd)
+        if a_part & 1 or b_part & 1:
+            raise RuntimeError("icosian product left Z[tau]/2")
+        coords.append((a_part >> 1, b_part >> 1))
+    return tuple(coords)
+
+
+@dataclass(frozen=True)
+class IcosianTables:
+    """2I on the indices of enumerate_2I(): the Cayley table, inverse,
+    negation, class label, and the automorphism alpha and its inverse."""
+
+    index: dict[Quaternion, int]
+    mul: tuple[tuple[int, ...], ...]
+    inv: tuple[int, ...]
+    neg: tuple[int, ...]
+    label: tuple[str, ...]
+    alpha: tuple[int, ...]
+    alpha_inv: tuple[int, ...]
+
+
 @lru_cache(maxsize=None)
-def _class_table() -> dict[Quaternion, str]:
-    re_to_label = {_golden_key(re): label for label, re in CLASS_RE.items()}
-    table = {}
-    for q in enumerate_2I():
-        label = re_to_label.get(_golden_key(GoldenNumber.coerce(q.re)))
-        if label is None:
-            raise RuntimeError(f"element with unexpected real part: {q}")
-        table[q] = label
-    return table
+def tables() -> IcosianTables:
+    """All group work on 2I, built from the doubled integer coordinates."""
+    elements = enumerate_2I()
+    index = {q: i for i, q in enumerate(elements)}
+    ints = [tuple(_doubled(c) for c in q.coords) for q in elements]
+    position = {x: i for i, x in enumerate(ints)}
+    mul = tuple(tuple(position[_icosian_product(x, y)] for y in ints) for x in ints)
+    inv = tuple(position[(x[0], *((-a, -b) for a, b in x[1:]))] for x in ints)
+    neg = tuple(position[tuple((-a, -b) for a, b in x)] for x in ints)
+    re_to_label = {_doubled(re): label for label, re in CLASS_RE.items()}
+    label = tuple(re_to_label[x[0]] for x in ints)
+
+    one, generators = index[QUAT_ONE], (index[G1], index[G2])
+    images = [power(g, n, one, lambda a, b: mul[a][b])
+              for g, n in zip(generators, (3, 7))]
+    alpha = {one: one}
+    frontier = [one]
+    while frontier:
+        next_frontier = []
+        for current in frontier:
+            for generator, image in zip(generators, images):
+                successor = mul[current][generator]
+                if successor not in alpha:
+                    alpha[successor] = mul[alpha[current]][image]
+                    next_frontier.append(successor)
+        frontier = next_frontier
+    if len(alpha) != 120 or len(set(alpha.values())) != 120:
+        raise RuntimeError("automorphism table is not a bijection of 2I")
+    alpha_inv = {image: source for source, image in alpha.items()}
+    return IcosianTables(
+        index=index, mul=mul, inv=inv, neg=neg,
+        label=label, alpha=tuple(alpha[i] for i in range(120)),
+        alpha_inv=tuple(alpha_inv[i] for i in range(120)))
+
+
+def _index_of(q: Quaternion) -> int:
+    i = tables().index.get(q)
+    if i is None:
+        raise MembershipError(f"not an element of the binary icosahedral group: {q}")
+    return i
 
 
 def class_of(q: Quaternion) -> str:
-    label = _class_table().get(q)
-    if label is None:
-        raise MembershipError(f"not an element of the binary icosahedral group: {q}")
-    return label
+    return tables().label[_index_of(q)]
 
 
 @lru_cache(maxsize=None)
 def class_elements(label: str) -> tuple[Quaternion, ...]:
     if label not in CLASS_LABELS:
         raise MembershipError(f"unknown conjugacy class: {label}")
-    return tuple(q for q in enumerate_2I() if _class_table()[q] == label)
+    labels = tables().label
+    return tuple(q for i, q in enumerate(enumerate_2I()) if labels[i] == label)
 
 
 def class_representative(label: str) -> Quaternion:
@@ -186,42 +257,10 @@ def evaluate_word(word: list[int],
     return result
 
 
-@lru_cache(maxsize=None)
-def _alpha_table() -> dict[Quaternion, Quaternion]:
-    image_of = {0: G1 ** 3, 1: G2 ** 7}
-    table: dict[Quaternion, Quaternion] = {QUAT_ONE: QUAT_ONE}
-    frontier = [QUAT_ONE]
-    generators = (G1, G2)
-    while frontier:
-        next_frontier = []
-        for current in frontier:
-            for index, generator in enumerate(generators):
-                successor = current * generator
-                if successor in table:
-                    continue
-                table[successor] = table[current] * image_of[index]
-                next_frontier.append(successor)
-        frontier = next_frontier
-    if len(table) != 120 or len(set(table.values())) != 120:
-        raise RuntimeError("automorphism table is not a bijection of 2I")
-    return table
-
-
-@lru_cache(maxsize=None)
-def _alpha_inverse_table() -> dict[Quaternion, Quaternion]:
-    return {image: source for source, image in _alpha_table().items()}
-
-
 def alpha(q: Quaternion) -> Quaternion:
     """The outer automorphism of 2I determined by g1 -> g1^3, g2 -> g2^7."""
-    image = _alpha_table().get(q)
-    if image is None:
-        raise MembershipError(f"not an element of the binary icosahedral group: {q}")
-    return image
+    return enumerate_2I()[tables().alpha[_index_of(q)]]
 
 
 def alpha_inverse(q: Quaternion) -> Quaternion:
-    source = _alpha_inverse_table().get(q)
-    if source is None:
-        raise MembershipError(f"not an element of the binary icosahedral group: {q}")
-    return source
+    return enumerate_2I()[tables().alpha_inv[_index_of(q)]]

@@ -234,6 +234,13 @@ def test_spin_nu_incomplete_payload_exits_two(capsys):
         assert code == 2, phat
         assert out == "" and err.startswith("bad --phat/--x payload: "), err
         assert err.count("\n") == 1, err
+    # a payload that starts with "-" is still read as the payload
+    for args in (("--phat", DIAG_PHAT, "--x", "-1e+16"),
+                 ("--phat", "-1", "--x", APEX_JSON)):
+        code, out, err = run_cli(capsys, "spin-nu", *args)
+        assert code == 2, args
+        assert out == "" and err.startswith("bad --phat/--x payload: "), err
+        assert err.count("\n") == 1, err
 
 
 _small_int = st.integers(-3, 3)

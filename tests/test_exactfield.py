@@ -134,10 +134,9 @@ def test_equal_values_hash_equal(value, coords, data):
     # quaternions whose coordinates mix the golden field and its extensions
     p, q = (Quaternion(*(data.draw(st.sampled_from(_equal_forms(c)[:3]))
                          for c in coords)) for _ in range(2))
-    assert p == q
     for a, b in ((x, y), (p, q)):
-        if a == b:
-            assert hash(a) == hash(b), (a, b)
+        assert a == b, (a, b)
+        assert hash(a) == hash(b), (a, b)
 
 
 @given(x=complex_st, y=complex_st, z=complex_st)

@@ -1,7 +1,8 @@
 """Structure of the order-28,800 symmetry group: element arithmetic,
-conjugacy classes, minus-pairing, and coset witnesses."""
+conjugacy classes, minus-pairing, and power maps."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -72,16 +73,12 @@ def test_coset_classes():
     assert {cls.name for cls in cosets} == {
         f"[1×{label}]" for label in icosa.CLASS_LABELS}
     assert sum(cls.size for cls in cosets) == 14400
-    for cls in cosets:
-        witness = ghat.coset_witness(cls)
-        assert witness.eps == 1
-        assert witness.p == QUAT_ONE
-        assert ghat.class_of_element(witness) is cls
-
-
-def test_coset_witness_rejects_subgroup_class():
-    with pytest.raises(ValueError):
-        ghat.coset_witness(ghat.class_by_name("1×1"))
+    hit = set()
+    for w in icosa.enumerate_2I():
+        cls = ghat.class_of_element(ghat.GhatElement(QUAT_ONE, w, 1))
+        assert cls.is_coset
+        hit.add(cls.name)
+    assert hit == {cls.name for cls in cosets}
 
 
 def test_subgroup_class_names_follow_merging():
@@ -106,11 +103,70 @@ def test_class_membership_consistency():
         assert ghat.class_name(h * x * h.inverse()) == ghat.class_name(x)
 
 
+def _all_triples():
+    return ((p, q, e) for p in range(120) for q in range(120) for e in (0, 1))
+
+
 def test_class_sizes_divide_group_order():
+    eng = ghat._engine()
+    members = Counter(eng.class_name(triple) for triple in _all_triples())
     for cls in ghat.conjugacy_classes():
         assert cls.representative.order() == cls.order
         assert 28800 % cls.size == 0
-        assert len(cls.member_codes) == cls.size
+        assert members[cls.name] == cls.size
+
+
+def _triple_order(eng, triple):
+    element, n = triple, 1
+    while element != eng.identity:
+        element, n = eng.mul_triple(element, triple), n + 1
+    return n
+
+
+def test_closed_form_classes_are_conjugation_orbits():
+    """Orbits of conjugation by the five generators, found breadth-first on
+    the integer triples, against the closed-form class of every element:
+    same name across an orbit, one orbit per name, the orbit's size, its
+    smallest triple as representative, and each member's order. A coset
+    orbit is named [1×l] after its members (1, w, 1), l the class of -w."""
+    eng = ghat._engine()
+    inv = icosa.tables().inv
+
+    def inverse(triple):
+        p, q, e = triple
+        if e == 0:
+            return (inv[p], inv[q], 0)
+        return (inv[eng.alpha_inv[q]], inv[eng.alpha[p]], 1)
+
+    generators = [(g, inverse(g)) for g in eng.generator_triples]
+    seen, names = set(), set()
+    for seed in _all_triples():
+        if seed in seen:
+            continue
+        seen.add(seed)
+        orbit, frontier = [seed], [seed]
+        while frontier:
+            current = frontier.pop()
+            for gen, gen_inv in generators:
+                conjugate = eng.mul_triple(gen, eng.mul_triple(current, gen_inv))
+                if conjugate not in seen:
+                    seen.add(conjugate)
+                    orbit.append(conjugate)
+                    frontier.append(conjugate)
+        name = eng.class_name(seed)
+        if seed[2] == 1:
+            assert {f"[1×{eng.label[eng.neg[q]]}]" for p, q, _ in orbit
+                    if p == eng.identity[0]} == {name}
+        assert name not in names
+        names.add(name)
+        cls = ghat.class_by_name(name)
+        assert cls.size == len(orbit), name
+        assert cls.representative == eng.to_element(seed), name
+        for member in orbit:
+            assert eng.class_name(member) == name, (member, name)
+            assert _triple_order(eng, member) == cls.order, (member, name)
+    assert len(seen) == 28800
+    assert names == {cls.name for cls in ghat.conjugacy_classes()}
 
 
 def test_minus_pairing_involution():
