@@ -341,7 +341,7 @@ def _verify_checks():
 
     def spin_norm():
         _, values = spinindex.davis_spin_character()
-        assert reptheory.inner_product(values, values) == GoldenComplex(2, 0)
+        assert reptheory.inner_product(values, values) == GoldenNumber(2)
         return "<spin, spin> = 2"
 
     def index_decomposition():
@@ -405,9 +405,17 @@ def _cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line on stderr, without the usage block;
+    the subcommand parsers are made of this class too."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 @lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="davisspin",
         description="Exact spin numbers and character theory of the "
                     "symmetry group of the Davis hyperbolic 4-manifold.")

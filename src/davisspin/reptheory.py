@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .exactfield import GoldenComplex, GoldenNumber
+from .exactfield import GoldenComplex, GoldenNumber, ZERO
 from .quatmat import Quaternion, _mat_mul
 from . import ghat, icosa
 
@@ -114,44 +114,18 @@ def rep_image(label: str, q: Quaternion) -> Matrix:
 
 @dataclass(frozen=True)
 class MatrixRep:
-    """Matrix representation given by an exact image map."""
+    """A named irreducible of 2I; its image of q is rep_image(label, q)."""
 
     label: str
-    dimension: int
-    group_tag: str
-    image: object  # callable Quaternion -> Matrix
 
-    def __call__(self, q: Quaternion) -> Matrix:
-        return self.image(q)
-
-
-def rep2_of_2I() -> MatrixRep:
-    return MatrixRep("2", 2, "2I", psi1)
+    def image(self, q: Quaternion) -> Matrix:
+        return rep_image(self.label, q)
 
 
 def rep_of_2I(label: str) -> MatrixRep:
     if label not in icosa.REP_LABELS:
         raise KeyError(f"unknown irreducible representation: {label}")
-    return MatrixRep(label, icosa.REP_DIMS[label], "2I",
-                     lambda q, _l=label: rep_image(_l, q))
-
-
-def sym_power(rep: MatrixRep, k: int) -> MatrixRep:
-    if rep.dimension != 2:
-        raise ValueError("symmetric powers are generated from a 2-dimensional representation")
-    return MatrixRep(f"Sym{k}({rep.label})", k + 1, rep.group_tag,
-                     lambda q: _mat_sym_power(rep.image(q), k))
-
-
-def galois_rep(rep: MatrixRep) -> MatrixRep:
-    return MatrixRep(f"galois({rep.label})", rep.dimension, rep.group_tag,
-                     lambda q: _mat_galois(rep.image(q)))
-
-
-def tensor(rep1: MatrixRep, rep2: MatrixRep) -> MatrixRep:
-    return MatrixRep(f"{rep1.label}(x){rep2.label}",
-                     rep1.dimension * rep2.dimension, rep1.group_tag,
-                     lambda q: _mat_kron(rep1.image(q), rep2.image(q)))
+    return MatrixRep(label)
 
 
 def homcheck(rep: MatrixRep, pairs: int = 500, seed: int = 0) -> bool:
@@ -194,16 +168,16 @@ class Character:
     label: CharLabel
     group_tag: str
     class_names: tuple[str, ...]
-    values: tuple[GoldenComplex, ...]
+    values: tuple[GoldenNumber, ...]
 
     @property
     def dimension(self) -> GoldenNumber:
-        return self.values[self.class_names.index(self._identity_name())].re
+        return self.values[self.class_names.index(self._identity_name())]
 
     def _identity_name(self) -> str:
         return "1" if self.group_tag == "2I" else "1×1"
 
-    def value_at(self, class_name: str) -> GoldenComplex:
+    def value_at(self, class_name: str) -> GoldenNumber:
         return self.values[self.class_names.index(class_name)]
 
     @property
@@ -212,17 +186,20 @@ class Character:
             minus_name = "2"
         else:
             minus_name = "2×2"
-        return self.value_at(minus_name) == -GoldenComplex(self.dimension, 0)
-
-    def galois(self) -> tuple[GoldenComplex, ...]:
-        return tuple(v.galois() for v in self.values)
+        return self.value_at(minus_name) == -self.dimension
 
 
 def character_of(rep: MatrixRep) -> Character:
-    values = tuple(GoldenComplex.coerce(_mat_trace(rep.image(
-        icosa.class_representative(label)))) for label in icosa.CLASS_LABELS)
+    """Character of rep from the traces of its exact matrix images."""
+    values = []
+    for label in icosa.CLASS_LABELS:
+        trace = _mat_trace(rep.image(icosa.class_representative(label)))
+        if not trace.im.is_zero():
+            raise FieldObstructionError(
+                f"character of {rep.label} is not real at class {label}")
+        values.append(trace.re)
     return Character(CharLabel("irreducible", (rep.label,)), "2I",
-                     icosa.CLASS_LABELS, values)
+                     icosa.CLASS_LABELS, tuple(values))
 
 
 def _ghat_class_names() -> tuple[str, ...]:
@@ -238,12 +215,11 @@ def induce_character(l1: str, l2: str) -> Character:
     for cls in ghat.conjugacy_classes():
         rep = cls.representative
         if rep.eps == 1:
-            values.append(_GC_ZERO)
+            values.append(ZERO)
             continue
         x, y = icosa.class_of(rep.p), icosa.class_of(rep.q)
-        value = (icosa.char_2I(l1, x) * icosa.char_2I(l2, y)
-                 + icosa.char_2I(REP_STAR[l2], x) * icosa.char_2I(REP_STAR[l1], y))
-        values.append(GoldenComplex.coerce(value))
+        values.append(icosa.char_2I(l1, x) * icosa.char_2I(l2, y)
+                      + icosa.char_2I(REP_STAR[l2], x) * icosa.char_2I(REP_STAR[l1], y))
     return Character(CharLabel("induced", (l1, l2)), "Ghat",
                      _ghat_class_names(), tuple(values))
 
@@ -267,10 +243,9 @@ def extend_character(l1: str, l2: str, sign: int) -> Character:
         rep = cls.representative
         if rep.eps == 0:
             x, y = icosa.class_of(rep.p), icosa.class_of(rep.q)
-            value = icosa.char_2I(l1, x) * icosa.char_2I(l2, y)
+            values.append(icosa.char_2I(l1, x) * icosa.char_2I(l2, y))
         else:
-            value = sign * icosa.char_2I(l1, icosa.class_of((rep * rep).p))
-        values.append(GoldenComplex.coerce(value))
+            values.append(sign * icosa.char_2I(l1, icosa.class_of((rep * rep).p)))
     return Character(CharLabel("extended", (l1, l2), sign), "Ghat",
                      _ghat_class_names(), tuple(values))
 
@@ -301,18 +276,18 @@ def chartable_ghat() -> tuple[Character, ...]:
     return tuple(chars)
 
 
-def inner_product(values1: tuple[GoldenComplex, ...],
-                  values2: tuple[GoldenComplex, ...]) -> GoldenComplex:
-    """Exact class-function inner product over the full group."""
-    classes = ghat.conjugacy_classes()
-    total = _GC_ZERO
-    for cls, v1, v2 in zip(classes, values1, values2):
-        total = total + v1 * v2.conjugate() * GoldenNumber(cls.size)
-    order = GoldenNumber(sum(cls.size for cls in classes))
-    return total * GoldenComplex(order.inverse(), 0)
+def inner_product(values1: tuple[GoldenNumber, ...],
+                  values2: tuple[GoldenNumber, ...]) -> GoldenNumber:
+    """Exact inner product of two real class functions over the full group.
+    Every character of the full group is real, so no value is conjugated,
+    and a complex value raises TypeError."""
+    total = ZERO
+    for cls, v1, v2 in zip(ghat.conjugacy_classes(), values1, values2):
+        total = total + GoldenNumber.coerce(v1) * GoldenNumber.coerce(v2) * cls.size
+    return total / ghat.group_order()
 
 
-def decompose(values: tuple[GoldenComplex, ...]) -> tuple[GoldenComplex, ...]:
+def decompose(values: tuple[GoldenNumber, ...]) -> tuple[GoldenNumber, ...]:
     """Multiplicity of each irreducible character, in chartable order."""
     return tuple(inner_product(values, char.values) for char in chartable_ghat())
 
@@ -324,9 +299,7 @@ def _integer_table() -> tuple[list[list[tuple[int, int]]], list[int]]:
     for char in chartable_ghat():
         row = []
         for value in char.values:
-            if not value.im.is_zero():
-                raise FieldObstructionError("character table entry is not real")
-            a, b = value.re.a, value.re.b
+            a, b = value.a, value.b
             if a.denominator != 1 or b.denominator != 1:
                 raise FieldObstructionError(
                     "character table entry is not an algebraic integer")
@@ -373,7 +346,7 @@ def galois_permutation() -> tuple[int, ...]:
     by_values = {char.values: i for i, char in enumerate(chars)}
     permutation = []
     for char in chars:
-        image = char.galois()
+        image = tuple(v.galois() for v in char.values)
         if image not in by_values:
             raise FieldObstructionError(
                 f"Galois image of {char.label.render()} is not a table row")

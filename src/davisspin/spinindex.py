@@ -122,9 +122,6 @@ def nu_isolated_2d(phat: SpinMatrix2, x3: GoldenNumber | int | Fraction) -> Spin
                                    -(x3 * (imaginary + imaginary).inverse())))
 
 
-_FQ_ZERO = (0.0, 0.0, 0.0, 0.0)
-
-
 def _fq_mul(p, q):
     pw, px, py, pz = p
     qw, qx, qy, qz = q
@@ -357,7 +354,7 @@ def spin_number_two_fp(name: str) -> SpinValue:
 
 
 def davis_spin_character() -> tuple[tuple[DavisSpinRow, ...],
-                                    tuple[GoldenComplex, ...]]:
+                                    tuple[GoldenNumber, ...]]:
     """All 54 classes in canonical order with spin numbers and provenance:
     recorded rows verbatim, minus classes by antisymmetry."""
     by_name = _validated_rows()
@@ -375,7 +372,7 @@ def davis_spin_character() -> tuple[tuple[DavisSpinRow, ...],
                                provenance=partner.provenance,
                                minus=partner.name, recorded=False)
         rows.append(row)
-        values.append(GoldenComplex.coerce(row.spin))
+        values.append(row.spin)
     return tuple(rows), tuple(values)
 
 
@@ -395,11 +392,10 @@ def decompose_davis_index() -> IndexDecomposition:
     _, values = davis_spin_character()
     multiplicities = []
     for value in reptheory.decompose(values):
-        if not value.im.is_zero() or value.re.b != 0 \
-                or value.re.a.denominator != 1:
+        if value.b != 0 or value.a.denominator != 1:
             raise DataInconsistencyError(
                 f"non-integral multiplicity {value} in the index decomposition")
-        multiplicities.append(int(value.re.a))
+        multiplicities.append(int(value.a))
     chars = reptheory.chartable_ghat()
     positives = [chars[i] for i, m in enumerate(multiplicities) if m == 1]
     negatives = [chars[i] for i, m in enumerate(multiplicities) if m == -1]

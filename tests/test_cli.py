@@ -270,9 +270,16 @@ def test_spin_nu_fuzzed_payloads(dim, phat, x):
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(["no-such-table"])
-    assert excinfo.value.code == 2
+    for argv in (["no-such-table"], [], ["icosa-table", "--format", "xml"],
+                 ["spin-nu", "--dim", "3", "--phat", DIAG_PHAT, "--x", APEX_JSON],
+                 ["spin-nu", "--x", APEX_JSON], ["verify", "--no-such-flag"]):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("davisspin"), argv
+        assert ": error: " in captured.err and captured.err.count("\n") == 1, captured.err
 
 
 def test_output_flag_writes_file(tmp_path, capsys):

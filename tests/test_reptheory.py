@@ -9,10 +9,11 @@ from davisspin.exactfield import GoldenComplex, GoldenNumber, TAU
 from davisspin import ghat, icosa, reptheory
 from davisspin.reptheory import (NotExtendableError, character_of,
                                  chartable_ghat, decompose, extend_character,
-                                 galois_permutation, galois_rep, homcheck,
+                                 galois_permutation, homcheck,
                                  induce_character, inner_product,
-                                 orthogonality_checks, psi1, rep2_of_2I,
-                                 rep_of_2I, sym_power, tensor, REP_STAR)
+                                 orthogonality_checks, psi1, rep_image,
+                                 rep_of_2I, REP_STAR)
+from davisspin.spinindex import davis_spin_character
 
 SPINORIAL_DIMS = [4, 4, 8, 12, 12, 12, 12, 12, 16, 16, 20,
                   20, 24, 24, 32, 36, 36, 40, 48, 60]
@@ -33,28 +34,32 @@ def test_full_table_reproduction():
         rep = rep_of_2I(label)
         character = character_of(rep)
         for class_label in icosa.CLASS_LABELS:
-            assert character.value_at(class_label) == GoldenComplex.coerce(
-                icosa.char_2I(label, class_label)), (label, class_label)
+            assert character.value_at(class_label) == icosa.char_2I(
+                label, class_label), (label, class_label)
+
+
+def test_character_of_rejects_a_complex_trace(monkeypatch):
+    monkeypatch.setattr(reptheory, "rep_image",
+                        lambda label, q: ((GoldenComplex(0, 1),),))
+    with pytest.raises(reptheory.FieldObstructionError):
+        character_of(rep_of_2I("1"))
 
 
 def test_homomorphism_property_of_reps():
-    assert homcheck(rep2_of_2I(), pairs=200, seed=1)
+    assert homcheck(rep_of_2I("2"), pairs=200, seed=1)
     for label in icosa.REP_LABELS:
         assert homcheck(rep_of_2I(label), pairs=40, seed=2), label
 
 
 def test_sym_power_and_tensor_examples():
-    two = rep2_of_2I()
-    three = sym_power(two, 2)
-    assert reptheory._mat_trace(
-        three.image(icosa.class_representative("5A"))) == GoldenComplex.coerce(1 - TAU)
-    four_prime = sym_power(two, 3)
-    assert reptheory._mat_trace(four_prime.image(
-        icosa.class_representative("2"))) == GoldenComplex(-4, 0)
-    mixed = tensor(two, galois_rep(two))
-    assert reptheory._mat_trace(
-        mixed.image(icosa.class_representative("5A"))) == GoldenComplex(-1, 0)
-    assert mixed.dimension == 4
+    # 3 = Sym^2(2), 4' = Sym^3(2) and 4 = 2 (x) galois(2) by construction
+    three = rep_image("3", icosa.class_representative("5A"))
+    assert reptheory._mat_trace(three) == GoldenComplex.coerce(1 - TAU)
+    four_prime = rep_image("4'", icosa.class_representative("2"))
+    assert reptheory._mat_trace(four_prime) == GoldenComplex(-4, 0)
+    mixed = rep_image("4", icosa.class_representative("5A"))
+    assert reptheory._mat_trace(mixed) == GoldenComplex(-1, 0)
+    assert len(mixed) == 4
 
 
 def test_rep_star_is_an_involution():
@@ -68,8 +73,6 @@ def test_rep_star_is_an_involution():
 def test_rep_of_unknown_label():
     with pytest.raises(KeyError):
         rep_of_2I("7")
-    with pytest.raises(ValueError):
-        sym_power(rep_of_2I("3"), 2)
 
 
 def test_induced_character_examples():
@@ -78,7 +81,7 @@ def test_induced_character_examples():
     assert induced.spinorial
     for cls in ghat.conjugacy_classes():
         if cls.is_coset:
-            assert induced.value_at(cls.name) == GoldenComplex(0, 0)
+            assert induced.value_at(cls.name) == GoldenNumber(0)
     big = induce_character("5", "6")
     assert big.dimension == GoldenNumber(60)
     assert big.spinorial
@@ -95,15 +98,15 @@ def test_induced_value_matches_subgroup_formula():
         x, y = icosa.class_of(rep.p), icosa.class_of(rep.q)
         expected = (icosa.char_2I("2", x) * icosa.char_2I("3", y)
                     + icosa.char_2I("3'", x) * icosa.char_2I("2'", y))
-        assert induced.value_at(cls.name) == GoldenComplex.coerce(expected)
+        assert induced.value_at(cls.name) == expected
 
 
 def test_extend_trivial_character():
     plus = extend_character("1", "1", 1)
-    assert all(value == GoldenComplex(1, 0) for value in plus.values)
+    assert all(value == GoldenNumber(1) for value in plus.values)
     minus = extend_character("1", "1", -1)
     negatives = [name for name, value in zip(minus.class_names, minus.values)
-                 if value == GoldenComplex(-1, 0)]
+                 if value == GoldenNumber(-1)]
     assert len(negatives) == 9
     assert all(name.startswith("[") for name in negatives)
 
@@ -111,10 +114,10 @@ def test_extend_trivial_character():
 def test_extend_character_examples():
     extended = extend_character("3", "3'", -1)
     assert extended.dimension == GoldenNumber(9)
-    assert extended.value_at("2×2") == GoldenComplex(9, 0)
+    assert extended.value_at("2×2") == GoldenNumber(9)
     assert not extended.spinorial
     plus = extend_character("3", "3'", 1)
-    assert inner_product(plus.values, extended.values) == GoldenComplex(0, 0)
+    assert inner_product(plus.values, extended.values) == GoldenNumber(0)
     difference = [p - m for p, m in zip(plus.values, extended.values)]
     for name, value in zip(plus.class_names, difference):
         if not name.startswith("["):
@@ -138,8 +141,8 @@ def test_coset_value_is_a_class_function():
         if not cls.is_coset:
             continue
         assert len(labels[cls.name]) == 1, (cls.name, labels[cls.name])
-        assert plus.value_at(cls.name) == GoldenComplex.coerce(
-            icosa.char_2I("2", labels[cls.name].pop())), cls.name
+        assert plus.value_at(cls.name) == icosa.char_2I(
+            "2", labels[cls.name].pop()), cls.name
 
 
 def test_extend_rejects_bad_input():
@@ -159,6 +162,10 @@ def test_chartable_counts_and_dimension_sum():
     dims = [int(char.dimension.a) for char in chars]
     assert sum(d * d for d in dims) == 28800
     assert dims == sorted(dims)
+    assert all(type(value) is GoldenNumber
+               for char in chars for value in char.values)
+    _, spin_values = davis_spin_character()
+    assert all(type(value) is GoldenNumber for value in spin_values)
 
 
 def test_spinorial_dimension_multiset():
@@ -187,7 +194,7 @@ def test_orthogonality_exact_spot_checks():
     for i in indices:
         for j in indices:
             value = inner_product(chars[i].values, chars[j].values)
-            expected = GoldenComplex(1 if i == j else 0, 0)
+            expected = GoldenNumber(1 if i == j else 0)
             assert value == expected, (i, j)
 
 
@@ -198,7 +205,16 @@ def test_decompose_recovers_multiplicities():
     multiplicities = decompose(combined)
     for index, value in enumerate(multiplicities):
         expected = {3: 1, 40: 2}.get(index, 0)
-        assert value == GoldenComplex(expected, 0)
+        assert value == GoldenNumber(expected)
+    # the characters are real: a complex class function is refused, never
+    # paired without the conjugation a complex inner product needs
+    complex_values = tuple(GoldenComplex(value, 1) for value in combined)
+    with pytest.raises(TypeError):
+        decompose(complex_values)
+    with pytest.raises(TypeError):
+        inner_product(complex_values, chars[3].values)
+    with pytest.raises(TypeError):
+        inner_product(chars[3].values, complex_values)
 
 
 def test_galois_permutation_is_involution():
@@ -210,7 +226,7 @@ def test_galois_permutation_is_involution():
     assert fixed == 22
     chars = chartable_ghat()
     for i, j in enumerate(permutation):
-        assert chars[i].galois() == chars[j].values
+        assert tuple(v.galois() for v in chars[i].values) == chars[j].values
 
 
 def test_galois_swaps_primed_labels():

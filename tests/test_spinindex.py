@@ -232,7 +232,7 @@ def test_spin_character_antisymmetry_and_norm():
         assert by_name[partner_name].spin == -row.spin
     derived = [row for row in rows if not row.recorded]
     assert len(derived) == 20
-    assert reptheory.inner_product(values, values) == GoldenComplex(2, 0)
+    assert reptheory.inner_product(values, values) == GoldenNumber(2)
     assert by_name["1×1"].spin.is_zero()
 
 
