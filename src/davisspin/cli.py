@@ -16,6 +16,9 @@ from .quatmat import (APEX, HyperboloidPoint, HyperboloidPoint2, Quaternion,
                       SpinMatrix2, SpinMatrix4, eta4, verify_lift)
 from . import ghat, icosa, reptheory, spinindex
 
+# how far the numeric oracle may sit from the exact nu before spin-nu fails
+ORACLE_TOLERANCE = 1e-9
+
 
 def _csv_block(header, rows) -> str:
     buffer = io.StringIO()
@@ -201,7 +204,7 @@ def _cmd_spin_nu(args) -> int:
             oracle = complex(spinindex.nu_numeric_oracle_2d(matrix, point))
             numeric = exact.real()
     except OverflowError as error:
-        sys.stderr.write(f"the numeric oracle cannot represent this point: {error}\n")
+        sys.stderr.write(f"the numeric oracle cannot represent this input: {error}\n")
         return 1
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as error:
         if isinstance(error, (spinindex.NonIsolatedError,
@@ -212,6 +215,10 @@ def _cmd_spin_nu(args) -> int:
         sys.stderr.write(f"bad --phat/--x payload: {error}\n")
         return 2
     agreement = float(abs(numeric - oracle))
+    if not agreement <= ORACLE_TOLERANCE:
+        sys.stderr.write(f"numeric oracle disagrees with the exact nu = {exact.value}: "
+                         f"oracle {oracle!r}, gap {agreement!r}\n")
+        return 1
     if args.format == "json":
         text = _json_dump({"nu": str(exact.value), "nu_json": exact.value.to_json(),
                            "oracle": repr(oracle), "agreement": repr(agreement)})
@@ -368,7 +375,7 @@ def _verify_checks():
                 x = eta4(h).apply(APEX)
                 oracle = spinindex.nu_numeric_oracle(h * base * h.inverse(), x)
                 worst = max(worst, abs(exact - oracle))
-        assert worst < 1e-9
+        assert worst < ORACLE_TOLERANCE
         return f"9 conjugated probes agree with exact values; worst gap {worst:.2e}"
 
     return [

@@ -526,47 +526,53 @@ APEX = HyperboloidPoint((0, 0, 0, 0, 1))
 APEX2 = HyperboloidPoint2((0, 0, 1))
 
 
-def eta4(A: SpinMatrix4, validate_output: bool = True) -> LorentzMatrix5:
-    """Image of A under the double cover onto the 4-dimensional hyperbolic
-    isometries, written out entry by entry as bilinear forms in the
-    coordinates of A's four quaternion entries."""
-    if not A.is_member():
-        raise InvalidElementError("matrix does not satisfy A* J A = J")
-    a0, a1, a2, a3 = A.a.coords
-    b0, b1, b2, b3 = A.b.coords
-    c0, c1, c2, c3 = A.c.coords
-    d0, d1, d2, d3 = A.d.coords
-    s = A.scale_sq
-    two = GoldenNumber(2)
-    rows = (
+def _eta4_rows(a, b, c, d):
+    """The 5x5 image, before the scale factor, of the quaternion matrix
+    whose entries have coordinates a, b, c, d, written out entry by entry as
+    bilinear forms; the coordinates may come from any commutative ring,
+    floats included."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    c0, c1, c2, c3 = c
+    d0, d1, d2, d3 = d
+    return (
         (b0 * c0 + b1 * c1 + b2 * c2 + b3 * c3 + a0 * d0 + a1 * d1 + a2 * d2 + a3 * d3,
          b1 * c0 - b0 * c1 - b3 * c2 + b2 * c3 - a1 * d0 + a0 * d1 + a3 * d2 - a2 * d3,
          b2 * c0 + b3 * c1 - b0 * c2 - b1 * c3 - a2 * d0 - a3 * d1 + a0 * d2 + a1 * d3,
          b3 * c0 - b2 * c1 + b1 * c2 - b0 * c3 - a3 * d0 + a2 * d1 - a1 * d2 + a0 * d3,
-         two * (b0 * d0 + b1 * d1 + b2 * d2 + b3 * d3)),
+         2 * (b0 * d0 + b1 * d1 + b2 * d2 + b3 * d3)),
         (b1 * c0 - b0 * c1 + b3 * c2 - b2 * c3 + a1 * d0 - a0 * d1 + a3 * d2 - a2 * d3,
          -(b0 * c0) - b1 * c1 + b2 * c2 + b3 * c3 + a0 * d0 + a1 * d1 - a2 * d2 - a3 * d3,
          b3 * c0 - b2 * c1 - b1 * c2 + b0 * c3 - a3 * d0 + a2 * d1 + a1 * d2 - a0 * d3,
          -(b2 * c0) - b3 * c1 - b0 * c2 - b1 * c3 + a2 * d0 + a3 * d1 + a0 * d2 + a1 * d3,
-         two * (b1 * d0 - b0 * d1 + b3 * d2 - b2 * d3)),
+         2 * (b1 * d0 - b0 * d1 + b3 * d2 - b2 * d3)),
         (b2 * c0 - b3 * c1 - b0 * c2 + b1 * c3 + a2 * d0 - a3 * d1 - a0 * d2 + a1 * d3,
          -(b3 * c0) - b2 * c1 - b1 * c2 - b0 * c3 + a3 * d0 + a2 * d1 + a1 * d2 + a0 * d3,
          -(b0 * c0) + b1 * c1 - b2 * c2 + b3 * c3 + a0 * d0 - a1 * d1 + a2 * d2 - a3 * d3,
          b1 * c0 + b0 * c1 - b3 * c2 - b2 * c3 - a1 * d0 - a0 * d1 + a3 * d2 + a2 * d3,
-         two * (b2 * d0 - b3 * d1 - b0 * d2 + b1 * d3)),
+         2 * (b2 * d0 - b3 * d1 - b0 * d2 + b1 * d3)),
         (b3 * c0 + b2 * c1 - b1 * c2 - b0 * c3 + a3 * d0 + a2 * d1 - a1 * d2 - a0 * d3,
          b2 * c0 - b3 * c1 + b0 * c2 - b1 * c3 - a2 * d0 + a3 * d1 - a0 * d2 + a1 * d3,
          -(b1 * c0) - b0 * c1 - b3 * c2 - b2 * c3 + a1 * d0 + a0 * d1 + a3 * d2 + a2 * d3,
          -(b0 * c0) + b1 * c1 + b2 * c2 - b3 * c3 + a0 * d0 - a1 * d1 - a2 * d2 + a3 * d3,
-         two * (b3 * d0 + b2 * d1 - b1 * d2 - b0 * d3)),
-        (two * (a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3),
-         two * (-(a1 * b0) + a0 * b1 + a3 * b2 - a2 * b3),
-         two * (-(a2 * b0) - a3 * b1 + a0 * b2 + a1 * b3),
-         two * (-(a3 * b0) + a2 * b1 - a1 * b2 + a0 * b3),
+         2 * (b3 * d0 + b2 * d1 - b1 * d2 - b0 * d3)),
+        (2 * (a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3),
+         2 * (-(a1 * b0) + a0 * b1 + a3 * b2 - a2 * b3),
+         2 * (-(a2 * b0) - a3 * b1 + a0 * b2 + a1 * b3),
+         2 * (-(a3 * b0) + a2 * b1 - a1 * b2 + a0 * b3),
          a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3 + b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3),
     )
-    scaled = tuple(tuple(s * v for v in row) for row in rows)
-    return LorentzMatrix5(scaled, validate=validate_output)
+
+
+def eta4(A: SpinMatrix4, validate_output: bool = True) -> LorentzMatrix5:
+    """Image of A under the double cover onto the 4-dimensional hyperbolic
+    isometries."""
+    if not A.is_member():
+        raise InvalidElementError("matrix does not satisfy A* J A = J")
+    s = A.scale_sq
+    rows = _eta4_rows(A.a.coords, A.b.coords, A.c.coords, A.d.coords)
+    return LorentzMatrix5(tuple(tuple(s * v for v in row) for row in rows),
+                          validate=validate_output)
 
 
 def eta2(A: SpinMatrix2, validate_output: bool = True) -> LorentzMatrix3:

@@ -280,9 +280,14 @@ def inner_product(values1: tuple[GoldenNumber, ...],
                   values2: tuple[GoldenNumber, ...]) -> GoldenNumber:
     """Exact inner product of two real class functions over the full group.
     Every character of the full group is real, so no value is conjugated,
-    and a complex value raises TypeError."""
+    and a complex value raises TypeError. Each function needs one value per
+    class, or ValueError is raised."""
+    classes = ghat.conjugacy_classes()
+    if len(values1) != len(classes) or len(values2) != len(classes):
+        raise ValueError(f"a class function needs {len(classes)} values, got "
+                         f"{len(values1)} and {len(values2)}")
     total = ZERO
-    for cls, v1, v2 in zip(ghat.conjugacy_classes(), values1, values2):
+    for cls, v1, v2 in zip(classes, values1, values2):
         total = total + GoldenNumber.coerce(v1) * GoldenNumber.coerce(v2) * cls.size
     return total / ghat.group_order()
 

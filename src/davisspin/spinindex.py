@@ -15,8 +15,8 @@ import numpy as np
 
 from .exactfield import (GoldenComplex, GoldenNumber, ONE,
                          KAPPA_RADICAND, QuadExtNumber, Scalar)
-from .quatmat import (HyperboloidPoint, LorentzMatrix5, Quaternion,
-                      SpinMatrix2, SpinMatrix4, eta2, eta4)
+from .quatmat import (HyperboloidPoint, LorentzMatrix5, QUAT_ONE, Quaternion,
+                      SpinMatrix2, SpinMatrix4, _eta4_rows, eta2, eta4)
 from . import ghat, icosa, reptheory
 
 
@@ -58,12 +58,6 @@ class IsolatedFixedPoint4:
     phat: SpinMatrix4
 
 
-def _scalar_quotient(numerator: Scalar, denominator: Scalar) -> Scalar:
-    if isinstance(denominator, QuadExtNumber):
-        return denominator.inverse() * numerator
-    return numerator * denominator.inverse()
-
-
 def nu_diag_4d(p: Quaternion, q: Quaternion) -> SpinValue:
     """Spin defect at the apex for the diagonal isometry pair (p, q):
     1 / (2(Re p - Re q))."""
@@ -72,7 +66,7 @@ def nu_diag_4d(p: Quaternion, q: Quaternion) -> SpinValue:
     difference = p.re - q.re
     if difference.is_zero():
         raise NonIsolatedError("equal real parts: the fixed point is not isolated")
-    value = _scalar_quotient(GoldenNumber(1), difference + difference)
+    value = 1 / (difference + difference)
     return SpinValue(GoldenComplex.coerce(_as_golden(value)))
 
 
@@ -97,7 +91,7 @@ def nu_isolated_4d(fp: IsolatedFixedPoint4) -> SpinValue:
     difference = matrix.a.re - matrix.d.re
     if difference.is_zero():
         raise NonIsolatedError("equal diagonal real parts: fixed point not isolated")
-    value = _scalar_quotient(fp.x[4], difference + difference)
+    value = fp.x[4] / (difference + difference)
     return SpinValue(GoldenComplex.coerce(_as_golden(value)))
 
 
@@ -122,33 +116,6 @@ def nu_isolated_2d(phat: SpinMatrix2, x3: GoldenNumber | int | Fraction) -> Spin
                                    -(x3 * (imaginary + imaginary).inverse())))
 
 
-def _fq_mul(p, q):
-    pw, px, py, pz = p
-    qw, qx, qy, qz = q
-    return (pw * qw - px * qx - py * qy - pz * qz,
-            pw * qx + px * qw + py * qz - pz * qy,
-            pw * qy - px * qz + py * qw + pz * qx,
-            pw * qz + px * qy - py * qx + pz * qw)
-
-
-def _fq_conj(p):
-    return (p[0], -p[1], -p[2], -p[3])
-
-
-def _fq_scale(p, factor):
-    return tuple(factor * coordinate for coordinate in p)
-
-
-def _fm_mul(a, b):
-    return [[tuple(sum(coords) for coords in zip(*(
-        _fq_mul(a[i][k], b[k][j]) for k in range(2))))
-        for j in range(2)] for i in range(2)]
-
-
-def _fq_abs(p) -> float:
-    return sum(coordinate * coordinate for coordinate in p) ** 0.5
-
-
 def _eigen_denominator(eigenvalues, isolation_tol: float):
     """Drop the eigenvalue nearest 1 (the fixed direction); the product of
     |1 - lambda| over the rest, raising if another angle degenerates."""
@@ -162,44 +129,50 @@ def _eigen_denominator(eigenvalues, isolation_tol: float):
     return product
 
 
+def _apex_form(phat: SpinMatrix4, x: HyperboloidPoint) -> tuple[Quaternion, Quaternion]:
+    """Diagonal of phat conjugated exactly to the apex: B^-1 phat B with
+    B = [[1, w], [conj w, 1]], w = (x1, ..., x4) / (1 + x5), which carries
+    the apex to x. On the hyperboloid 1 - |w|^2 = 2 / (1 + x5), so the
+    inverse of B is B.inverse() times (1 + x5) / 2, with no square root.
+    The implicit factor sqrt(scale_sq) of phat is not applied."""
+    lift = x[4] + 1
+    w = Quaternion(*(coordinate / lift for coordinate in x.coords[:4]))
+    boost = SpinMatrix4(QUAT_ONE, w, w.conjugate(), QUAT_ONE, validate=False)
+    conjugated = boost.inverse() * phat * boost
+    if not (conjugated.b.is_zero() and conjugated.c.is_zero()):
+        raise InconsistentInputError("the point is not fixed by the isometry")
+    half_lift = lift * Fraction(1, 2)
+    return conjugated.a * half_lift, conjugated.d * half_lift
+
+
 def nu_numeric_oracle(phat: SpinMatrix4, x: HyperboloidPoint,
                       isolation_tol: float = 1e-6) -> float:
-    """Floating-point spin defect: diagonalize by the boost carrying the apex
-    to x, read the half-spin trace difference, and divide by the angular
-    defect product from the Lorentz eigenvalues."""
-    coords = x.real()
-    w = tuple(coordinate / (1 + coords[4]) for coordinate in coords[:4])
-    norm_sq = sum(coordinate * coordinate for coordinate in w)
-    scale = 1 / (1 - norm_sq) ** 0.5
-    one = (1.0, 0.0, 0.0, 0.0)
-    w_conj = _fq_conj(w)
-    boost = [[_fq_scale(one, scale), _fq_scale(w, scale)],
-             [_fq_scale(w_conj, scale), _fq_scale(one, scale)]]
-    boost_inv = [[_fq_scale(one, scale), _fq_scale(w, -scale)],
-                 [_fq_scale(w_conj, -scale), _fq_scale(one, scale)]]
-    entries = phat.real()
-    conjugated = _fm_mul(boost_inv, _fm_mul(entries, boost))
-    if _fq_abs(conjugated[0][1]) > 1e-8 or _fq_abs(conjugated[1][0]) > 1e-8:
-        raise InconsistentInputError("the point is not fixed by the isometry")
-    numerator = 2 * (conjugated[0][0][0] - conjugated[1][1][0])
-    eigenvalues = np.linalg.eigvals(np.array(eta4(phat).real()))
-    return numerator / _eigen_denominator(eigenvalues, isolation_tol)
+    """Floating-point spin defect: conjugate phat exactly to the matrix that
+    fixes the apex, then, in floats, read the half-spin trace difference and
+    divide by the angular defect product from the Lorentz eigenvalues."""
+    top, bottom = _apex_form(phat, x)
+    mu = phat.scale_sq.real() ** 0.5
+    top, bottom = (tuple(mu * c.real() for c in q.coords) for q in (top, bottom))
+    zero = (0.0,) * 4
+    eigenvalues = np.linalg.eigvals(np.array(_eta4_rows(top, zero, zero, bottom)))
+    return 2 * (top[0] - bottom[0]) / _eigen_denominator(eigenvalues, isolation_tol)
 
 
 def nu_numeric_oracle_2d(phat: SpinMatrix2, x,
                          isolation_tol: float = 1e-6) -> complex:
-    """Two-dimensional analogue; returns a purely imaginary complex number."""
-    coords = x.real()
-    w = complex(coords[0], coords[1]) / (1 + coords[2])
-    scale = 1 / (1 - abs(w) ** 2) ** 0.5
-    a, b = phat.a.real(), phat.b.real()
-    c, d = phat.c.real(), phat.d.real()
-    top_left = scale * scale * ((a - w * c) + (b - w * d) * w.conjugate())
-    off = scale * scale * ((a - w * c) * w + (b - w * d))
-    if abs(off) > 1e-8:
+    """Two-dimensional analogue; returns a purely imaginary complex number.
+    The conjugation to the apex is exact, as in dimension 4, with
+    w = (x1 + x2 i) / (1 + x3)."""
+    lift = x[2] + 1
+    w = GoldenComplex(x[0] / lift, x[1] / lift)
+    boost = SpinMatrix2(GoldenComplex(1, 0), w, validate=False)
+    conjugated = boost.inverse() * phat * boost
+    if not conjugated.b.is_zero():
         raise InconsistentInputError("the point is not fixed by the isometry")
-    numerator = top_left.conjugate() - top_left
-    eigenvalues = np.linalg.eigvals(np.array(eta2(phat).real()))
+    top = conjugated.a * (lift * Fraction(1, 2))
+    eigenvalues = np.linalg.eigvals(np.array(
+        eta2(SpinMatrix2.diagonal(top, validate=False), validate_output=False).real()))
+    numerator = (top.conjugate() - top).real()
     return numerator / _eigen_denominator(eigenvalues, isolation_tol)
 
 

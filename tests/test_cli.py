@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ import hypothesis.strategies as st
 import davisspin
 from davisspin import cli, ghat, icosa, spinindex
 from davisspin.exactfield import GoldenComplex, GoldenNumber, TAU
-from davisspin.quatmat import APEX, Quaternion, SpinMatrix4, eta4
+from davisspin.quatmat import APEX, Quaternion, SpinMatrix2, SpinMatrix4, eta4
 
 
 def run_cli(capsys, *argv):
@@ -199,6 +200,30 @@ def far_fixed_point_payload(k):
     return json.dumps(entries), json.dumps(point)
 
 
+def far_fixed_point_payload_2d(k):
+    """The dimension-2 analogue: diag(u, conj u), u = (3 + 4i) / 5,
+    conjugated by the same B, with its fixed point (2cs, 0, c^2 + s^2)."""
+    up, down = TAU ** k, TAU ** -k
+    c, s = (up + down) / 2, (up - down) / 2
+    boost = SpinMatrix2(GoldenComplex(c, 0), GoldenComplex(s, 0))
+    u = GoldenComplex(GoldenNumber(3) / 5, GoldenNumber(4) / 5)
+    phat = boost * SpinMatrix2.diagonal(u) * boost.inverse()
+    point = [2 * c * s, GoldenNumber(0), c * c + s * s]
+    return (json.dumps({"a": phat.a.to_json(), "b": phat.b.to_json()}),
+            json.dumps([part.to_json() for part in point]))
+
+
+def test_spin_nu_oracle_agrees_at_every_boost_height(capsys):
+    for dim, payload in (("4", far_fixed_point_payload),
+                         ("2", far_fixed_point_payload_2d)):
+        for k in range(41):
+            phat, x = payload(k)
+            code, out, err = run_cli(capsys, "spin-nu", "--dim", dim,
+                                     "--format", "json", "--phat", phat, "--x", x)
+            assert code == 0 and err == "", (dim, k, err)
+            assert float(json.loads(out)["agreement"]) < 1e-9, (dim, k)
+
+
 def test_spin_nu_non_isolated_exits_one(capsys):
     phat = json.dumps({"a": quaternion_json(0, 1), "b": quaternion_json(0),
                        "c": quaternion_json(0), "d": quaternion_json(0, 1)})
@@ -207,11 +232,44 @@ def test_spin_nu_non_isolated_exits_one(capsys):
     assert code == 1
     assert out == ""
     assert "isolated" in err
-    # exact nu is fine, but the point's coordinates overflow a float
+    # a point far beyond float range is conjugated to the apex exactly
     phat, x = far_fixed_point_payload(800)
-    code, out, err = run_cli(capsys, "spin-nu", "--phat", phat, "--x", x)
+    code, out, err = run_cli(capsys, "spin-nu", "--format", "json",
+                             "--phat", phat, "--x", x)
+    assert code == 0 and err == ""
+    assert float(json.loads(out)["agreement"]) < 1e-9
+    # exact nu is fine, but the matrix's scale overflows a float
+    tiny = GoldenNumber(Fraction(1, 10 ** 200))
+    entries = {key: [(tiny * part).to_json() for part in quaternion.coords]
+               for key, quaternion in (("a", icosa.class_representative("5A")),
+                                       ("b", Quaternion(0)), ("c", Quaternion(0)),
+                                       ("d", icosa.class_representative("10B")))}
+    entries["scale_sq"] = GoldenNumber(10 ** 400).to_json()
+    code, out, err = run_cli(capsys, "spin-nu", "--phat", json.dumps(entries),
+                             "--x", APEX_JSON)
     assert code == 1 and out == ""
     assert "numeric oracle" in err and err.count("\n") == 1, err
+
+
+def test_spin_nu_oracle_disagreement_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(spinindex, "nu_numeric_oracle",
+                        lambda phat, x: 0.25 + 1e-6)
+    monkeypatch.setattr(spinindex, "nu_numeric_oracle_2d",
+                        lambda phat, x: -0.5j + 1e-6j)
+    i = GoldenComplex(GoldenNumber(0), GoldenNumber(1))
+    phat_2d = json.dumps({"a": i.to_json(), "b": GoldenComplex(0, 0).to_json()})
+    x_2d = json.dumps([golden_json(n) for n in (0, 0, 1)])
+    cases = ((("--phat", DIAG_PHAT, "--x", APEX_JSON),
+              spinindex.nu_diag_4d(Quaternion(1), Quaternion(-1)), 0.25 + 1e-6),
+             (("--dim", "2", "--phat", phat_2d, "--x", x_2d),
+              spinindex.nu_diag_2d(i), -0.5j + 1e-6j))
+    for args, exact, oracle in cases:
+        code, out, err = run_cli(capsys, "spin-nu", "--format", "json", *args)
+        assert code == 1 and out == "", args
+        assert err.count("\n") == 1, err
+        assert err.startswith(f"numeric oracle disagrees with the exact nu = {exact}: "
+                              f"oracle {oracle!r}, gap "), err
+        assert abs(float(err.rsplit("gap ", 1)[1]) - 1e-6) < 1e-12, err
 
 
 def test_spin_nu_malformed_json_exits_two(capsys):

@@ -215,6 +215,14 @@ def test_decompose_recovers_multiplicities():
         inner_product(complex_values, chars[3].values)
     with pytest.raises(TypeError):
         inner_product(chars[3].values, complex_values)
+    # one value per class, never a silently truncated pairing
+    _, spin = davis_spin_character()
+    with pytest.raises(ValueError):
+        decompose(spin[:10])
+    with pytest.raises(ValueError):
+        inner_product(spin[:53], spin)
+    with pytest.raises(ValueError):
+        inner_product(spin, spin + spin[:1])
 
 
 def test_galois_permutation_is_involution():

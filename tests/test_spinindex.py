@@ -126,7 +126,9 @@ def test_numeric_oracle_matches_exact_on_conjugates():
     p, q = rep_of("5A"), rep_of("10B")
     exact = nu_diag_4d(p, q).real().real
     diagonal = SpinMatrix4.diagonal(p, q)
-    for word in words:
+    # the Davis sigma-hat carries the apex to a point with kappa coordinates
+    _, sigma_hat = davis_sigma_data()
+    for word in words + [sigma_hat]:
         moved = word * diagonal * word.inverse()
         fixed_point = eta4(word).apply(APEX)
         oracle = nu_numeric_oracle(moved, fixed_point)
