@@ -370,6 +370,12 @@ def test_verify_report(capsys):
     code, out, err = run_cli(capsys, "verify")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "8077522f8f50b1a0ccf903cd6dab2b917b5da6875f2b1762c703f2bf9468b3d6")
+    # the exact apex conjugation changed only the oracle's worst gap; with
+    # the float-boost oracle's gap put back, the report hashes as it did then
+    assert out.count("worst gap 6.66e-15") == 1
+    before = out.replace("worst gap 6.66e-15", "worst gap 8.88e-15")
+    assert hashlib.sha256(before.encode("utf-8")).hexdigest() == (
         "e3f83fdc8f24586137360968b608b8e5f7c6c7d4c296746607302a417d820ec0")
     report = json.loads(out)
     names = [entry["check"] for entry in report]
