@@ -131,38 +131,52 @@ class IcosianTables:
     alpha_inv: tuple[int, ...]
 
 
+def _compose(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
+    """The permutation b -> s[t[b]]."""
+    return tuple(s[x] for x in t)
+
+
 @lru_cache(maxsize=None)
 def tables() -> IcosianTables:
-    """All group work on 2I, built from the doubled integer coordinates."""
+    """All group work on 2I, built from the doubled integer coordinates.
+    Only the rows of the two generators are icosian products: row(g*a) is
+    row(g) composed with row(a), because g*a*b = g*(a*b), and alpha(g*a) is
+    alpha(g)*alpha(a), both filled in by one breadth-first walk from 1."""
     elements = enumerate_2I()
     index = {q: i for i, q in enumerate(elements)}
     ints = [tuple(_doubled(c) for c in q.coords) for q in elements]
     position = {x: i for i, x in enumerate(ints)}
-    mul = tuple(tuple(position[_icosian_product(x, y)] for y in ints) for x in ints)
     inv = tuple(position[(x[0], *((-a, -b) for a, b in x[1:]))] for x in ints)
     neg = tuple(position[tuple((-a, -b) for a, b in x)] for x in ints)
     re_to_label = {_doubled(re): label for label, re in CLASS_RE.items()}
     label = tuple(re_to_label[x[0]] for x in ints)
 
-    one, generators = index[QUAT_ONE], (index[G1], index[G2])
-    images = [power(g, n, one, lambda a, b: mul[a][b])
-              for g, n in zip(generators, (3, 7))]
+    one, identity = index[QUAT_ONE], tuple(range(120))
+    steps = []
+    for generator, exponent in ((G1, 3), (G2, 7)):
+        g = ints[index[generator]]
+        row = tuple(position[_icosian_product(g, y)] for y in ints)
+        steps.append((row, power(row, exponent, identity, _compose)))
+    rows = {one: identity}
     alpha = {one: one}
     frontier = [one]
     while frontier:
         next_frontier = []
         for current in frontier:
-            for generator, image in zip(generators, images):
-                successor = mul[current][generator]
-                if successor not in alpha:
-                    alpha[successor] = mul[alpha[current]][image]
+            for row, image_row in steps:
+                successor = row[current]
+                if successor not in rows:
+                    rows[successor] = _compose(row, rows[current])
+                    alpha[successor] = image_row[alpha[current]]
                     next_frontier.append(successor)
         frontier = next_frontier
-    if len(alpha) != 120 or len(set(alpha.values())) != 120:
+    if len(rows) != 120 or any(len(set(r)) != 120 for r in rows.values()):
+        raise RuntimeError("Cayley table rows are not 120 permutations of 2I")
+    if len(set(alpha.values())) != 120:
         raise RuntimeError("automorphism table is not a bijection of 2I")
     alpha_inv = {image: source for source, image in alpha.items()}
     return IcosianTables(
-        index=index, mul=mul, inv=inv, neg=neg,
+        index=index, mul=tuple(rows[i] for i in range(120)), inv=inv, neg=neg,
         label=label, alpha=tuple(alpha[i] for i in range(120)),
         alpha_inv=tuple(alpha_inv[i] for i in range(120)))
 
@@ -193,37 +207,28 @@ def class_representative(label: str) -> Quaternion:
     return class_elements(label)[0]
 
 
-_M = -ONE
-_T = TAU
-
-_CHAR_TABLE: dict[str, tuple[GoldenNumber, ...]] = {
-    "1":  tuple(GoldenNumber(v) for v in (1, 1, 1, 1, 1, 1, 1, 1, 1)),
-    "2":  (GoldenNumber(2), GoldenNumber(-2), _M, ZERO, _T - 1, -_T,
-           ONE, _T, 1 - _T),
-    "2'": (GoldenNumber(2), GoldenNumber(-2), _M, ZERO, -_T, _T - 1,
-           ONE, 1 - _T, _T),
-    "3":  (GoldenNumber(3), GoldenNumber(3), ZERO, _M, 1 - _T, _T,
-           ZERO, _T, 1 - _T),
-    "3'": (GoldenNumber(3), GoldenNumber(3), ZERO, _M, _T, 1 - _T,
-           ZERO, 1 - _T, _T),
-    "4":  (GoldenNumber(4), GoldenNumber(4), ONE, ZERO, _M, _M,
-           ONE, _M, _M),
-    "4'": (GoldenNumber(4), GoldenNumber(-4), ONE, ZERO, _M, _M,
-           -ONE, ONE, ONE),
-    "5":  (GoldenNumber(5), GoldenNumber(5), _M, ONE, ZERO, ZERO,
-           -ONE, ZERO, ZERO),
-    "6":  (GoldenNumber(6), GoldenNumber(-6), ZERO, ZERO, ONE, ONE,
-           ZERO, _M, _M),
+# chi(rep, class) = a + b*tau as the integer pair (a, b); one row per
+# irreducible, columns in CLASS_LABELS order.
+CHAR_TABLE: dict[str, tuple[tuple[int, int], ...]] = {
+    "1":  ((1, 0), (1, 0), (1, 0), (1, 0), (1, 0), (1, 0), (1, 0), (1, 0), (1, 0)),
+    "2":  ((2, 0), (-2, 0), (-1, 0), (0, 0), (-1, 1), (0, -1), (1, 0), (0, 1), (1, -1)),
+    "2'": ((2, 0), (-2, 0), (-1, 0), (0, 0), (0, -1), (-1, 1), (1, 0), (1, -1), (0, 1)),
+    "3":  ((3, 0), (3, 0), (0, 0), (-1, 0), (1, -1), (0, 1), (0, 0), (0, 1), (1, -1)),
+    "3'": ((3, 0), (3, 0), (0, 0), (-1, 0), (0, 1), (1, -1), (0, 0), (1, -1), (0, 1)),
+    "4":  ((4, 0), (4, 0), (1, 0), (0, 0), (-1, 0), (-1, 0), (1, 0), (-1, 0), (-1, 0)),
+    "4'": ((4, 0), (-4, 0), (1, 0), (0, 0), (-1, 0), (-1, 0), (-1, 0), (1, 0), (1, 0)),
+    "5":  ((5, 0), (5, 0), (-1, 0), (1, 0), (0, 0), (0, 0), (-1, 0), (0, 0), (0, 0)),
+    "6":  ((6, 0), (-6, 0), (0, 0), (0, 0), (1, 0), (1, 0), (0, 0), (-1, 0), (-1, 0)),
 }
 
 
 def char_2I(rep_label: str, class_label: str) -> GoldenNumber:
     """Exact character value of the named irreducible representation of 2I."""
-    if rep_label not in _CHAR_TABLE:
+    if rep_label not in CHAR_TABLE:
         raise KeyError(f"unknown irreducible representation: {rep_label}")
     if class_label not in CLASS_LABELS:
         raise MembershipError(f"unknown conjugacy class: {class_label}")
-    return _CHAR_TABLE[rep_label][CLASS_LABELS.index(class_label)]
+    return GoldenNumber(*CHAR_TABLE[rep_label][CLASS_LABELS.index(class_label)])
 
 
 def word_decompose(q: Quaternion,

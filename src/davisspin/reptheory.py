@@ -23,8 +23,8 @@ class NotExtendableError(ValueError):
 
 
 class FieldObstructionError(ValueError):
-    """Character table entry is not a real algebraic integer of Q(tau), or
-    Galois conjugation does not permute the table rows."""
+    """A character of 2I is not real, or Galois conjugation does not permute
+    the rows of the character table."""
 
 
 _GC_ZERO = GoldenComplex(0, 0)
@@ -206,22 +206,77 @@ def _ghat_class_names() -> tuple[str, ...]:
     return tuple(cls.name for cls in ghat.conjugacy_classes())
 
 
+def _golden_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """(a + b*tau)(c + d*tau) on integer pairs, with tau^2 = tau + 1."""
+    (a, b), (c, d) = x, y
+    bd = b * d
+    return (a * c + bd, a * d + b * c + bd)
+
+
+@lru_cache(maxsize=None)
+def _class_slots() -> tuple[tuple[int, ...], ...]:
+    """The 2I class columns each class of the full group reads, from the
+    index triple of its representative: (label(p), label(q)) for (p, q, 0);
+    (label(p alpha^-1(q)),) for (p, q, 1), the first slot of its square."""
+    tables = icosa.tables()
+    column = {label: i for i, label in enumerate(icosa.CLASS_LABELS)}
+    slots = []
+    for cls in ghat.conjugacy_classes():
+        rep = cls.representative
+        p, q = tables.index[rep.p], tables.index[rep.q]
+        if rep.eps == 0:
+            slots.append((column[tables.label[p]], column[tables.label[q]]))
+        else:
+            slots.append((column[tables.label[tables.mul[p][tables.alpha_inv[q]]]],))
+    return tuple(slots)
+
+
+def _check_labels(l1: str, l2: str) -> None:
+    if l1 not in icosa.REP_LABELS or l2 not in icosa.REP_LABELS:
+        raise KeyError(f"unknown irreducible representation: {l1!r} or {l2!r}")
+
+
+def _induced_row(l1: str, l2: str) -> tuple[tuple[int, int], ...]:
+    chi1, chi2 = icosa.CHAR_TABLE[l1], icosa.CHAR_TABLE[l2]
+    twist1, twist2 = icosa.CHAR_TABLE[REP_STAR[l2]], icosa.CHAR_TABLE[REP_STAR[l1]]
+    row = []
+    for slots in _class_slots():
+        if len(slots) == 1:
+            row.append((0, 0))
+            continue
+        x, y = slots
+        a1, b1 = _golden_mul(chi1[x], chi2[y])
+        a2, b2 = _golden_mul(twist1[x], twist2[y])
+        row.append((a1 + a2, b1 + b2))
+    return tuple(row)
+
+
+def _extended_row(l1: str, l2: str, sign: int) -> tuple[tuple[int, int], ...]:
+    chi1, chi2 = icosa.CHAR_TABLE[l1], icosa.CHAR_TABLE[l2]
+    row = []
+    for slots in _class_slots():
+        if len(slots) == 2:
+            row.append(_golden_mul(chi1[slots[0]], chi2[slots[1]]))
+        else:
+            a, b = chi1[slots[0]]
+            row.append((sign * a, sign * b))
+    return tuple(row)
+
+
+@lru_cache(maxsize=None)
+def _golden(pair: tuple[int, int]) -> GoldenNumber:
+    return GoldenNumber(*pair)
+
+
+def _character(label: CharLabel, row: tuple[tuple[int, int], ...]) -> Character:
+    return Character(label, "Ghat", _ghat_class_names(), tuple(map(_golden, row)))
+
+
 def induce_character(l1: str, l2: str) -> Character:
     """Character induced from the tensor character l1 (x) l2 of the index-2
     subgroup: theta + theta-twisted on the subgroup, zero on the coset."""
-    if l1 not in icosa.REP_LABELS or l2 not in icosa.REP_LABELS:
-        raise KeyError(f"unknown irreducible representation: {l1!r} or {l2!r}")
-    values = []
-    for cls in ghat.conjugacy_classes():
-        rep = cls.representative
-        if rep.eps == 1:
-            values.append(ZERO)
-            continue
-        x, y = icosa.class_of(rep.p), icosa.class_of(rep.q)
-        values.append(icosa.char_2I(l1, x) * icosa.char_2I(l2, y)
-                      + icosa.char_2I(REP_STAR[l2], x) * icosa.char_2I(REP_STAR[l1], y))
-    return Character(CharLabel("induced", (l1, l2)), "Ghat",
-                     _ghat_class_names(), tuple(values))
+    _check_labels(l1, l2)
+    return _character(CharLabel("induced", (l1, l2)), _induced_row(l1, l2))
 
 
 def extend_character(l1: str, l2: str, sign: int) -> Character:
@@ -233,29 +288,21 @@ def extend_character(l1: str, l2: str, sign: int) -> Character:
     tr((A (x) B) o swap) = tr(AB); the "-" extension is its negation."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if l1 not in icosa.REP_LABELS or l2 not in icosa.REP_LABELS:
-        raise KeyError(f"unknown irreducible representation: {l1!r} or {l2!r}")
+    _check_labels(l1, l2)
     if REP_STAR[l1] != l2:
         raise NotExtendableError(
             f"{l1} (x) {l2} is not invariant under the swap-twist")
-    values = []
-    for cls in ghat.conjugacy_classes():
-        rep = cls.representative
-        if rep.eps == 0:
-            x, y = icosa.class_of(rep.p), icosa.class_of(rep.q)
-            values.append(icosa.char_2I(l1, x) * icosa.char_2I(l2, y))
-        else:
-            values.append(sign * icosa.char_2I(l1, icosa.class_of((rep * rep).p)))
-    return Character(CharLabel("extended", (l1, l2), sign), "Ghat",
-                     _ghat_class_names(), tuple(values))
+    return _character(CharLabel("extended", (l1, l2), sign),
+                      _extended_row(l1, l2, sign))
 
 
 @lru_cache(maxsize=None)
-def chartable_ghat() -> tuple[Character, ...]:
-    """All 54 irreducible characters of the full group."""
+def _integer_table() -> tuple[tuple[CharLabel, tuple[tuple[int, int], ...]], ...]:
+    """Label and values a + b*tau, as integer pairs, of all 54 irreducible
+    characters of the full group, in chartable order."""
     labels = icosa.REP_LABELS
     seen: set[tuple[str, str]] = set()
-    induced_pairs = []
+    rows = []
     for l1 in labels:
         for l2 in labels:
             if (l1, l2) in seen:
@@ -267,13 +314,20 @@ def chartable_ghat() -> tuple[Character, ...]:
             seen.add(twist)
             pair = min((l1, l2), twist,
                        key=lambda p: (labels.index(p[0]), labels.index(p[1])))
-            induced_pairs.append(pair)
-    chars = [induce_character(l1, l2) for l1, l2 in induced_pairs]
+            rows.append((CharLabel("induced", pair), _induced_row(*pair)))
     for l in labels:
-        chars.append(extend_character(l, REP_STAR[l], 1))
-        chars.append(extend_character(l, REP_STAR[l], -1))
-    chars.sort(key=lambda c: (c.dimension.a, str(c.label)))
-    return tuple(chars)
+        for sign in (1, -1):
+            rows.append((CharLabel("extended", (l, REP_STAR[l]), sign),
+                         _extended_row(l, REP_STAR[l], sign)))
+    identity = _ghat_class_names().index("1×1")
+    rows.sort(key=lambda row: (row[1][identity][0], str(row[0])))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def chartable_ghat() -> tuple[Character, ...]:
+    """All 54 irreducible characters of the full group."""
+    return tuple(_character(label, row) for label, row in _integer_table())
 
 
 def inner_product(values1: tuple[GoldenNumber, ...],
@@ -297,25 +351,10 @@ def decompose(values: tuple[GoldenNumber, ...]) -> tuple[GoldenNumber, ...]:
     return tuple(inner_product(values, char.values) for char in chartable_ghat())
 
 
-def _integer_table() -> tuple[list[list[tuple[int, int]]], list[int]]:
-    """Character table as integer coordinate pairs a + b*tau, with class sizes."""
-    classes = ghat.conjugacy_classes()
-    table = []
-    for char in chartable_ghat():
-        row = []
-        for value in char.values:
-            a, b = value.a, value.b
-            if a.denominator != 1 or b.denominator != 1:
-                raise FieldObstructionError(
-                    "character table entry is not an algebraic integer")
-            row.append((int(a), int(b)))
-        table.append(row)
-    return table, [cls.size for cls in classes]
-
-
 def orthogonality_checks() -> dict[str, bool]:
     """Exhaustive exact row and column orthogonality of the character table."""
-    table, sizes = _integer_table()
+    table = [row for _, row in _integer_table()]
+    sizes = [cls.size for cls in ghat.conjugacy_classes()]
     order = sum(sizes)
     count = len(table)
     rows_ok = True
@@ -347,14 +386,14 @@ def orthogonality_checks() -> dict[str, bool]:
 def galois_permutation() -> tuple[int, ...]:
     """Entrywise Galois conjugation permutes the rows of the character table;
     returns the induced index permutation (an involution)."""
-    chars = chartable_ghat()
-    by_values = {char.values: i for i, char in enumerate(chars)}
+    table = _integer_table()
+    by_values = {row: i for i, (_, row) in enumerate(table)}
     permutation = []
-    for char in chars:
-        image = tuple(v.galois() for v in char.values)
+    for label, row in table:
+        image = tuple((a + b, -b) for a, b in row)
         if image not in by_values:
             raise FieldObstructionError(
-                f"Galois image of {char.label.render()} is not a table row")
+                f"Galois image of {label.render()} is not a table row")
         permutation.append(by_values[image])
     for i, j in enumerate(permutation):
         if permutation[j] != i:

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-import numpy as np
-
 from .exactfield import (GoldenComplex, GoldenNumber, ONE,
                          KAPPA_RADICAND, QuadExtNumber, Scalar)
 from .quatmat import (HyperboloidPoint, LorentzMatrix5, QUAT_ONE, Quaternion,
@@ -150,6 +148,8 @@ def nu_numeric_oracle(phat: SpinMatrix4, x: HyperboloidPoint,
     """Floating-point spin defect: conjugate phat exactly to the matrix that
     fixes the apex, then, in floats, read the half-spin trace difference and
     divide by the angular defect product from the Lorentz eigenvalues."""
+    import numpy as np  # imported here so that only an oracle call loads numpy
+
     top, bottom = _apex_form(phat, x)
     mu = phat.scale_sq.real() ** 0.5
     top, bottom = (tuple(mu * c.real() for c in q.coords) for q in (top, bottom))
@@ -163,6 +163,8 @@ def nu_numeric_oracle_2d(phat: SpinMatrix2, x,
     """Two-dimensional analogue; returns a purely imaginary complex number.
     The conjugation to the apex is exact, as in dimension 4, with
     w = (x1 + x2 i) / (1 + x3)."""
+    import numpy as np
+
     lift = x[2] + 1
     w = GoldenComplex(x[0] / lift, x[1] / lift)
     boost = SpinMatrix2(GoldenComplex(1, 0), w, validate=False)

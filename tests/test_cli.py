@@ -410,6 +410,42 @@ def test_data_override_failure_exits_one(tmp_path, monkeypatch, capsys):
             assert "1×3+3×1" in err and "JSON integer" in err, err
 
 
+def _checkout_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(davisspin.__file__).parents[1]),
+                      env.get("PYTHONPATH")]))
+    return env
+
+
+def test_numpy_loads_only_with_the_oracle(tmp_path):
+    """Importing the CLI and running commands without a numeric oracle leave
+    numpy unloaded; the first oracle call of spin-nu loads it."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from davisspin import cli\n"
+        "loaded = ['numpy' in sys.modules]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in json.loads(sys.argv[1]):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "        loaded.append('numpy' in sys.modules)\n"
+        "print(json.dumps(loaded))\n")
+    commands = [["icosa-table"], ["spin-decompose"], ["ghat-chartable", "--check"],
+                ["spin-nu", "--dim", "4", "--phat", DIAG_PHAT, "--x", APEX_JSON]]
+    result = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                            capture_output=True, text=True, timeout=120,
+                            cwd=tmp_path, env=_checkout_env())
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [False, False, False, False, True]
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as handle:
+        assert davisspin.__version__ == tomllib.load(handle)["project"]["version"]
+
+
 def test_console_script_runs(tmp_path):
     """The declared ``[project.scripts]`` entry point starts in a fresh
     process, the way pip's generated wrapper calls it, whether or not the
@@ -420,13 +456,10 @@ def test_console_script_runs(tmp_path):
         target = tomllib.load(handle)["project"]["scripts"]["davisspin"]
     module, _, attr = target.partition(":")
     launcher = f"import sys; from {module} import {attr}; sys.exit({attr}())"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(davisspin.__file__).parents[1]),
-                      env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-c", launcher, "icosa-table", "--format", "csv"],
-        capture_output=True, text=True, timeout=120, cwd=tmp_path, env=env)
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+        env=_checkout_env())
     assert result.returncode == 0, result.stderr
     rows = parse_csv(result.stdout.split("\n\n")[0])
     assert rows[0] == ["class", "order", "size", "re"], result.stderr

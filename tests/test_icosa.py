@@ -101,6 +101,42 @@ def test_spinorial_split():
     assert sum(icosa.REP_DIMS[rep] ** 2 for rep in icosa.REP_LABELS) == 120
 
 
+def test_composed_cayley_table_matches_icosian_products():
+    """Every entry of the table composed from the two generator rows against
+    a direct product of doubled integer coordinates, and sampled entries
+    against the exact quaternion product."""
+    elements = icosa.enumerate_2I()
+    tables = icosa.tables()
+    ints = [tuple(icosa._doubled(c) for c in q.coords) for q in elements]
+    position = {x: i for i, x in enumerate(ints)}
+    for a, x in enumerate(ints):
+        assert tables.mul[a] == tuple(position[icosa._icosian_product(x, y)]
+                                      for y in ints), a
+    rng = random.Random(5)
+    for _ in range(200):
+        a, b = rng.randrange(120), rng.randrange(120)
+        assert elements[tables.mul[a][b]] == elements[a] * elements[b]
+
+
+def test_tables_reject_a_broken_generator_row(monkeypatch):
+    """A product that is not the group law gives rows that do not reach all
+    of 2I or are not permutations, and tables() raises."""
+    product = icosa._icosian_product
+    one = tuple(icosa._doubled(c) for c in QUAT_ONE.coords)
+
+    def doubled_at_one(x, y):
+        return product(x, x if y == one else y)
+
+    for broken in (lambda x, y: y, doubled_at_one):
+        monkeypatch.setattr(icosa, "_icosian_product", broken)
+        icosa.tables.cache_clear()
+        with pytest.raises(RuntimeError, match="Cayley table rows"):
+            icosa.tables()
+    monkeypatch.undo()
+    icosa.tables.cache_clear()
+    assert len(icosa.tables().mul) == 120
+
+
 def test_alpha_is_multiplicative_sampled():
     elements = icosa.enumerate_2I()
     rng = random.Random(3)

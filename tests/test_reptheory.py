@@ -145,6 +145,33 @@ def test_coset_value_is_a_class_function():
             "2", labels[cls.name].pop()), cls.name
 
 
+def test_integer_chartable_matches_golden_reference():
+    """All 54 x 54 entries, built on integer pairs from the class slots,
+    against the same formulas in GoldenNumber arithmetic read off the class
+    representatives: products of 2I characters at class_of(p) and
+    class_of(q) on the subgroup, and sign * chi_l1 at the class of the
+    first slot of rep * rep on the coset (zero for an induced character)."""
+    chars = chartable_ghat()
+    integer_rows = reptheory._integer_table()
+    assert [label for label, _ in integer_rows] == [char.label for char in chars]
+    for char, (_, row) in zip(chars, integer_rows):
+        kind, (l1, l2), sign = char.label.kind, char.label.pair, char.label.sign
+        assert char.values == tuple(GoldenNumber(a, b) for a, b in row)
+        for cls, value in zip(ghat.conjugacy_classes(), char.values):
+            rep = cls.representative
+            if rep.eps == 0:
+                x, y = icosa.class_of(rep.p), icosa.class_of(rep.q)
+                expected = icosa.char_2I(l1, x) * icosa.char_2I(l2, y)
+                if kind == "induced":
+                    expected = expected + (icosa.char_2I(REP_STAR[l2], x)
+                                           * icosa.char_2I(REP_STAR[l1], y))
+            elif kind == "induced":
+                expected = GoldenNumber(0)
+            else:
+                expected = sign * icosa.char_2I(l1, icosa.class_of((rep * rep).p))
+            assert value == expected, (char.label.render(), cls.name)
+
+
 def test_extend_rejects_bad_input():
     with pytest.raises(NotExtendableError):
         extend_character("2", "3", 1)
