@@ -213,6 +213,19 @@ def far_fixed_point_payload_2d(k):
             json.dumps([part.to_json() for part in point]))
 
 
+def test_spin_nu_json(capsys):
+    for dim, payload, digest in (
+            ("4", far_fixed_point_payload,
+             "33496f598b4c0812bcaf957ad334a11f89aa61e357cc2d5538d4efd35259febe"),
+            ("2", far_fixed_point_payload_2d,
+             "ac79bacf59321ec8083b48de63d3963dda7200e9051597b7e6c4871d13b3ecf7")):
+        phat, x = payload(5)
+        code, out, err = run_cli(capsys, "spin-nu", "--dim", dim,
+                                 "--format", "json", "--phat", phat, "--x", x)
+        assert code == 0 and err == "", (dim, err)
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (dim, out)
+
+
 def test_spin_nu_oracle_agrees_at_every_boost_height(capsys):
     for dim, payload in (("4", far_fixed_point_payload),
                          ("2", far_fixed_point_payload_2d)):
