@@ -234,14 +234,14 @@ class LorentzMatrix3(_LorentzMatrix):
     _SIZE = 3
 
 
-class SpinMatrix4:
-    """2x2 quaternionic matrix A with A* J A = J (J = diag(1,-1)), possibly
-    carrying an implicit positive scalar factor mu with mu^2 = scale_sq."""
+class _SpinMatrix:
+    """2x2 matrix A with A* J A = J (J = diag(1,-1)) over the subclass's
+    entry ring, which has a conjugation, possibly carrying an implicit
+    positive scalar factor mu with mu^2 = scale_sq."""
 
     __slots__ = ("_a", "_b", "_c", "_d", "_scale_sq", "_member")
 
-    def __init__(self, a: Quaternion, b: Quaternion, c: Quaternion, d: Quaternion,
-                 scale_sq: GoldenNumber | int | Fraction = 1,
+    def __init__(self, a, b, c, d, scale_sq: GoldenNumber | int | Fraction = 1,
                  validate: bool = True) -> None:
         self._a, self._b, self._c, self._d = a, b, c, d
         self._scale_sq = GoldenNumber.coerce(scale_sq)
@@ -249,30 +249,28 @@ class SpinMatrix4:
         if validate and not self.is_member():
             raise InvalidElementError("matrix does not satisfy A* J A = J")
 
+    def _with(self, a, b, c, d, scale_sq: GoldenNumber, member: bool | None):
+        """A matrix of this type with the given entries, not validated."""
+        result = object.__new__(type(self))
+        result._a, result._b, result._c, result._d = a, b, c, d
+        result._scale_sq, result._member = scale_sq, member
+        return result
+
     @property
-    def a(self) -> Quaternion:
+    def a(self):
         return self._a
 
     @property
-    def b(self) -> Quaternion:
+    def b(self):
         return self._b
 
     @property
-    def c(self) -> Quaternion:
+    def c(self):
         return self._c
 
     @property
-    def d(self) -> Quaternion:
+    def d(self):
         return self._d
-
-    @property
-    def scale_sq(self) -> GoldenNumber:
-        return self._scale_sq
-
-    @classmethod
-    def diagonal(cls, p: Quaternion, q: Quaternion, validate: bool = True) -> SpinMatrix4:
-        zero = Quaternion(0, 0, 0, 0)
-        return cls(p, zero, zero, q, validate=validate)
 
     def is_member(self) -> bool:
         if self._member is None:
@@ -285,37 +283,29 @@ class SpinMatrix4:
                             and cross.is_zero())
         return self._member
 
-    def __mul__(self, other: SpinMatrix4) -> SpinMatrix4:
-        if not isinstance(other, SpinMatrix4):
+    def __mul__(self, other):
+        if type(other) is not type(self):
             return NotImplemented
-        result = SpinMatrix4(
-            self._a * other._a + self._b * other._c,
-            self._a * other._b + self._b * other._d,
-            self._c * other._a + self._d * other._c,
-            self._c * other._b + self._d * other._d,
-            scale_sq=self._scale_sq * other._scale_sq,
-            validate=False)
-        result._member = True
-        return result
+        return self._with(self._a * other._a + self._b * other._c,
+                          self._a * other._b + self._b * other._d,
+                          self._c * other._a + self._d * other._c,
+                          self._c * other._b + self._d * other._d,
+                          self._scale_sq * other._scale_sq, True)
 
-    def __neg__(self) -> SpinMatrix4:
-        result = SpinMatrix4(-self._a, -self._b, -self._c, -self._d,
-                             scale_sq=self._scale_sq, validate=False)
-        result._member = self._member
-        return result
+    def __neg__(self):
+        return self._with(-self._a, -self._b, -self._c, -self._d,
+                          self._scale_sq, self._member)
 
-    def inverse(self) -> SpinMatrix4:
-        result = SpinMatrix4(
-            self._a.conjugate(), -self._c.conjugate(),
-            -self._b.conjugate(), self._d.conjugate(),
-            scale_sq=self._scale_sq, validate=False)
-        result._member = self._member
-        return result
+    def inverse(self):
+        return self._with(self._a.conjugate(), -self._c.conjugate(),
+                          -self._b.conjugate(), self._d.conjugate(),
+                          self._scale_sq, self._member)
 
-    def __pow__(self, exponent: int) -> SpinMatrix4:
-        return power(self, exponent, SpinMatrix4.diagonal(QUAT_ONE, QUAT_ONE))
+    def __pow__(self, exponent: int):
+        one, zero = type(self._a)(1), type(self._a)()
+        return power(self, exponent, self._with(one, zero, zero, one, ONE, True))
 
-    def normalized(self) -> SpinMatrix4:
+    def normalized(self):
         if self._scale_sq == ONE:
             return self
         root = self._scale_sq.sqrt()
@@ -327,23 +317,15 @@ class SpinMatrix4:
             if root is None:
                 raise ValueError("scale square is not normalizable over Q(tau)")
             factor, residue = root, TAU - 1
-        result = SpinMatrix4(self._a * factor, self._b * factor,
-                             self._c * factor, self._d * factor,
-                             scale_sq=residue, validate=False)
-        result._member = self._member
-        return result
+        return self._with(self._a * factor, self._b * factor, self._c * factor,
+                          self._d * factor, residue, self._member)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SpinMatrix4):
+        if type(other) is not type(self):
             return NotImplemented
         lhs, rhs = self.normalized(), other.normalized()
         return (lhs._scale_sq == rhs._scale_sq and lhs._a == rhs._a
                 and lhs._b == rhs._b and lhs._c == rhs._c and lhs._d == rhs._d)
-
-    def real(self) -> list[list[tuple[float, float, float, float]]]:
-        mu = self._scale_sq.real() ** 0.5
-        return [[tuple(mu * f for f in q.real()) for q in row]
-                for row in ((self._a, self._b), (self._c, self._d))]
 
     def __str__(self) -> str:
         head = "" if self._scale_sq == ONE else f"sqrt({self._scale_sq}) * "
@@ -352,119 +334,93 @@ class SpinMatrix4:
     __repr__ = __str__
 
 
-class SpinMatrix2:
-    """2x2 complex matrix [[a, b], [conj(b), conj(a)]] with |a|^2 - |b|^2 = 1."""
+class SpinMatrix4(_SpinMatrix):
+    """2x2 quaternionic matrix A with A* J A = J (J = diag(1,-1)), possibly
+    carrying an implicit positive scalar factor mu with mu^2 = scale_sq."""
 
-    __slots__ = ("_a", "_b", "_c", "_d")
+    __slots__ = ()
+
+    @property
+    def scale_sq(self) -> GoldenNumber:
+        return self._scale_sq
+
+    @classmethod
+    def diagonal(cls, p: Quaternion, q: Quaternion, validate: bool = True) -> SpinMatrix4:
+        return cls(p, Quaternion(), Quaternion(), q, validate=validate)
+
+    def real(self) -> list[list[tuple[float, float, float, float]]]:
+        mu = self._scale_sq.real() ** 0.5
+        return [[tuple(mu * f for f in q.real()) for q in row]
+                for row in ((self._a, self._b), (self._c, self._d))]
+
+
+class SpinMatrix2(_SpinMatrix):
+    """2x2 complex matrix [[a, b], [conj(b), conj(a)]] with |a|^2 - |b|^2 = 1:
+    the matrices of SpinMatrix4 whose entries lie in the complex slice."""
+
+    __slots__ = ()
 
     def __init__(self, a: GoldenComplex, b: GoldenComplex,
                  c: GoldenComplex | None = None, d: GoldenComplex | None = None,
                  validate: bool = True) -> None:
-        self._a = GoldenComplex.coerce(a)
-        self._b = GoldenComplex.coerce(b)
-        self._c = GoldenComplex.coerce(c) if c is not None else self._b.conjugate()
-        self._d = GoldenComplex.coerce(d) if d is not None else self._a.conjugate()
-        if validate:
-            if (self._c != self._b.conjugate() or self._d != self._a.conjugate()
-                    or self._a.norm() - self._b.norm() != ONE):
-                raise InvalidElementError(
-                    "matrix is not of the form [[a, b], [conj(b), conj(a)]] with det 1")
-
-    @property
-    def a(self) -> GoldenComplex:
-        return self._a
-
-    @property
-    def b(self) -> GoldenComplex:
-        return self._b
-
-    @property
-    def c(self) -> GoldenComplex:
-        return self._c
-
-    @property
-    def d(self) -> GoldenComplex:
-        return self._d
+        a, b = GoldenComplex.coerce(a), GoldenComplex.coerce(b)
+        c = GoldenComplex.coerce(c) if c is not None else b.conjugate()
+        d = GoldenComplex.coerce(d) if d is not None else a.conjugate()
+        if validate and (c != b.conjugate() or d != a.conjugate()):
+            raise InvalidElementError(
+                "matrix is not of the form [[a, b], [conj(b), conj(a)]]")
+        super().__init__(a, b, c, d, validate=validate)
 
     @classmethod
     def diagonal(cls, u: GoldenComplex, validate: bool = True) -> SpinMatrix2:
-        return cls(u, GoldenComplex(0, 0), validate=validate)
+        return cls(u, GoldenComplex(), validate=validate)
 
-    def __mul__(self, other: SpinMatrix2) -> SpinMatrix2:
-        if not isinstance(other, SpinMatrix2):
-            return NotImplemented
-        return SpinMatrix2(self._a * other._a + self._b * other._c,
-                           self._a * other._b + self._b * other._d,
-                           validate=False)
 
-    def __neg__(self) -> SpinMatrix2:
-        return SpinMatrix2(-self._a, -self._b, validate=False)
+class _BallPoint:
+    """Point of the open unit ball of the subclass's entry ring."""
 
-    def inverse(self) -> SpinMatrix2:
-        return SpinMatrix2(self._a.conjugate(), -self._b, validate=False)
+    __slots__ = ("_value",)
 
-    def __pow__(self, exponent: int) -> SpinMatrix2:
-        return power(self, exponent, SpinMatrix2.diagonal(GoldenComplex(1, 0)))
+    _NAME = ""
+
+    def __init__(self, value) -> None:
+        if (ONE - (value.conjugate() * value).re).sign() <= 0:
+            raise DomainError(f"point lies outside the open unit {self._NAME}")
+        self._value = value
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SpinMatrix2):
+        if type(other) is not type(self):
             return NotImplemented
-        return self._a == other._a and self._b == other._b
+        return self._value == other._value
 
     def __str__(self) -> str:
-        return f"[[{self._a}, {self._b}], [{self._c}, {self._d}]]"
+        return f"{self._NAME} point {self._value}"
 
     __repr__ = __str__
 
 
-class BallPoint:
+class BallPoint(_BallPoint):
     """Point of the open unit ball in the quaternions."""
 
-    __slots__ = ("_q",)
+    __slots__ = ()
 
-    def __init__(self, q: Quaternion) -> None:
-        if (ONE - q.norm_sq()).sign() <= 0:
-            raise DomainError("point lies outside the open unit ball")
-        self._q = q
+    _NAME = "ball"
 
     @property
     def q(self) -> Quaternion:
-        return self._q
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BallPoint):
-            return NotImplemented
-        return self._q == other._q
-
-    def __str__(self) -> str:
-        return f"ball point {self._q}"
-
-    __repr__ = __str__
+        return self._value
 
 
-class BallPoint2:
+class BallPoint2(_BallPoint):
     """Point of the open unit disc in the complex plane."""
 
-    __slots__ = ("_z",)
+    __slots__ = ()
 
-    def __init__(self, z: GoldenComplex) -> None:
-        if (ONE - z.norm()).sign() <= 0:
-            raise DomainError("point lies outside the open unit disc")
-        self._z = z
+    _NAME = "disc"
 
     @property
     def z(self) -> GoldenComplex:
-        return self._z
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BallPoint2):
-            return NotImplemented
-        return self._z == other._z
-
-    def __str__(self) -> str:
-        return f"disc point {self._z}"
-
-    __repr__ = __str__
+        return self._value
 
 
 class _HyperboloidPoint:
@@ -575,22 +531,17 @@ def eta4(A: SpinMatrix4, validate_output: bool = True) -> LorentzMatrix5:
                           validate=validate_output)
 
 
+def _complex_slice(rows):
+    """Rows and columns x1, x2, x5 of a 5x5 image of a matrix with entries
+    in the complex slice; its x3 and x4 rows and columns are the identity."""
+    return tuple(tuple(rows[i][j] for j in (0, 1, 4)) for i in (0, 1, 4))
+
+
 def eta2(A: SpinMatrix2, validate_output: bool = True) -> LorentzMatrix3:
     """Image of A under the double cover onto the 2-dimensional hyperbolic
-    isometries."""
-    a1, a2 = A.a.re, A.a.im
-    b1, b2 = A.b.re, A.b.im
-    one = ONE
-    two = GoldenNumber(2)
-    rows = (
-        (one - two * a2 * a2 + two * b1 * b1, -two * a1 * a2 + two * b1 * b2,
-         two * a1 * b1 - two * a2 * b2),
-        (two * a1 * a2 + two * b1 * b2, one - two * a2 * a2 + two * b2 * b2,
-         two * a1 * b2 + two * a2 * b1),
-        (two * a1 * b1 + two * a2 * b2, two * a1 * b2 - two * a2 * b1,
-         one + two * b1 * b1 + two * b2 * b2),
-    )
-    return LorentzMatrix3(rows, validate=validate_output)
+    isometries: eta4 of A, restricted to the complex slice."""
+    rows = _eta4_rows(*((z.re, z.im, 0, 0) for z in (A.a, A.b, A.c, A.d)))
+    return LorentzMatrix3(_complex_slice(rows), validate=validate_output)
 
 
 def verify_lift(A: SpinMatrix4 | SpinMatrix2,
@@ -612,9 +563,7 @@ def spin_matrix_relations(A: SpinMatrix4) -> bool:
 
 
 def act_ball(A: SpinMatrix4, point: BallPoint | Quaternion) -> BallPoint:
-    q = point.q if isinstance(point, BallPoint) else point
-    if (ONE - q.norm_sq()).sign() <= 0:
-        raise DomainError("point lies outside the open unit ball")
+    q = point.q if isinstance(point, BallPoint) else BallPoint(point).q
     numerator = A.a * q + A.b
     denominator = A.c * q + A.d
     if denominator.is_zero():
@@ -622,22 +571,23 @@ def act_ball(A: SpinMatrix4, point: BallPoint | Quaternion) -> BallPoint:
     return BallPoint(numerator * denominator.inverse())
 
 
+def _disc_point(point: BallPoint2 | GoldenComplex) -> Quaternion:
+    """The disc point as the quaternion (re, im, 0, 0) of the complex slice."""
+    z = (point if isinstance(point, BallPoint2)
+         else BallPoint2(GoldenComplex.coerce(point))).z
+    return Quaternion(z.re, z.im)
+
+
 def act_ball2(A: SpinMatrix2, point: BallPoint2 | GoldenComplex) -> BallPoint2:
-    z = point.z if isinstance(point, BallPoint2) else GoldenComplex.coerce(point)
-    if (ONE - z.norm()).sign() <= 0:
-        raise DomainError("point lies outside the open unit disc")
-    numerator = A.a * z + A.b
-    denominator = A.c * z + A.d
-    if denominator.is_zero():
-        raise DomainError("disc action is undefined at this point")
-    return BallPoint2(numerator * denominator.inverse())
+    lift = SpinMatrix4(*(Quaternion(z.re, z.im) for z in (A.a, A.b, A.c, A.d)),
+                       validate=False)
+    moved = act_ball(lift, _disc_point(point)).q
+    return BallPoint2(GoldenComplex(*moved.coords[:2]))
 
 
 def zeta(point: BallPoint | Quaternion) -> HyperboloidPoint:
-    q = point.q if isinstance(point, BallPoint) else point
+    q = point.q if isinstance(point, BallPoint) else BallPoint(point).q
     n = q.norm_sq()
-    if (ONE - n).sign() <= 0:
-        raise DomainError("point lies outside the open unit ball")
     inv = (ONE - n).inverse()
     q0, q1, q2, q3 = q.coords
     two = GoldenNumber(2)
@@ -653,16 +603,11 @@ def zeta_inv(point: HyperboloidPoint) -> BallPoint:
 
 
 def zeta2(point: BallPoint2 | GoldenComplex) -> HyperboloidPoint2:
-    z = point.z if isinstance(point, BallPoint2) else GoldenComplex.coerce(point)
-    n = z.norm()
-    if (ONE - n).sign() <= 0:
-        raise DomainError("point lies outside the open unit disc")
-    inv = (ONE - n).inverse()
-    two = GoldenNumber(2)
-    return HyperboloidPoint2((two * z.re * inv, two * z.im * inv, (ONE + n) * inv))
+    x1, x2, _, _, x5 = zeta(_disc_point(point)).coords
+    return HyperboloidPoint2((x1, x2, x5))
 
 
 def zeta2_inv(point: HyperboloidPoint2) -> BallPoint2:
     x1, x2, x3 = point.coords
-    inv = (ONE + x3).inverse()
-    return BallPoint2(GoldenComplex(x1 * inv, x2 * inv))
+    moved = zeta_inv(HyperboloidPoint((x1, x2, 0, 0, x3))).q
+    return BallPoint2(GoldenComplex(*moved.coords[:2]))

@@ -13,8 +13,8 @@ from importlib import resources
 
 from .exactfield import (GoldenComplex, GoldenNumber, ONE,
                          KAPPA_RADICAND, QuadExtNumber, Scalar)
-from .quatmat import (HyperboloidPoint, LorentzMatrix5, QUAT_ONE, Quaternion,
-                      SpinMatrix2, SpinMatrix4, _eta4_rows, eta2, eta4)
+from .quatmat import (HyperboloidPoint, LorentzMatrix5, Quaternion, SpinMatrix2,
+                      SpinMatrix4, _complex_slice, _eta4_rows, eta4)
 from . import ghat, icosa, reptheory
 
 
@@ -114,9 +114,13 @@ def nu_isolated_2d(phat: SpinMatrix2, x3: GoldenNumber | int | Fraction) -> Spin
                                    -(x3 * (imaginary + imaginary).inverse())))
 
 
-def _eigen_denominator(eigenvalues, isolation_tol: float):
-    """Drop the eigenvalue nearest 1 (the fixed direction); the product of
-    |1 - lambda| over the rest, raising if another angle degenerates."""
+def _eigen_denominator(rows, isolation_tol: float):
+    """Drop the eigenvalue of the float Lorentz matrix rows nearest 1 (the
+    fixed direction); the product of |1 - lambda| over the rest, raising if
+    another angle degenerates."""
+    import numpy as np  # imported here so that only an oracle call loads numpy
+
+    eigenvalues = np.linalg.eigvals(np.array(rows))
     gaps = [abs(1 - value) for value in eigenvalues]
     keep = sorted(range(len(eigenvalues)), key=lambda i: gaps[i])[1:]
     if any(gaps[i] < isolation_tol for i in keep):
@@ -127,15 +131,17 @@ def _eigen_denominator(eigenvalues, isolation_tol: float):
     return product
 
 
-def _apex_form(phat: SpinMatrix4, x: HyperboloidPoint) -> tuple[Quaternion, Quaternion]:
+def _apex_form(phat, x):
     """Diagonal of phat conjugated exactly to the apex: B^-1 phat B with
-    B = [[1, w], [conj w, 1]], w = (x1, ..., x4) / (1 + x5), which carries
-    the apex to x. On the hyperboloid 1 - |w|^2 = 2 / (1 + x5), so the
-    inverse of B is B.inverse() times (1 + x5) / 2, with no square root.
+    B = [[1, w], [conj w, 1]], w = (x1, ..., x(n-1)) / (1 + xn) in phat's entry
+    type, which carries the apex to x. On the hyperboloid 1 - |w|^2 = 2 / (1 + xn),
+    so the inverse of B is B.inverse() times (1 + xn) / 2, with no square root.
     The implicit factor sqrt(scale_sq) of phat is not applied."""
-    lift = x[4] + 1
-    w = Quaternion(*(coordinate / lift for coordinate in x.coords[:4]))
-    boost = SpinMatrix4(QUAT_ONE, w, w.conjugate(), QUAT_ONE, validate=False)
+    *space, time = x
+    lift = time + 1
+    entry = type(phat.a)
+    w = entry(*(coordinate / lift for coordinate in space))
+    boost = type(phat)(entry(1), w, w.conjugate(), entry(1), validate=False)
     conjugated = boost.inverse() * phat * boost
     if not (conjugated.b.is_zero() and conjugated.c.is_zero()):
         raise InconsistentInputError("the point is not fixed by the isometry")
@@ -148,34 +154,25 @@ def nu_numeric_oracle(phat: SpinMatrix4, x: HyperboloidPoint,
     """Floating-point spin defect: conjugate phat exactly to the matrix that
     fixes the apex, then, in floats, read the half-spin trace difference and
     divide by the angular defect product from the Lorentz eigenvalues."""
-    import numpy as np  # imported here so that only an oracle call loads numpy
-
     top, bottom = _apex_form(phat, x)
     mu = phat.scale_sq.real() ** 0.5
     top, bottom = (tuple(mu * c.real() for c in q.coords) for q in (top, bottom))
     zero = (0.0,) * 4
-    eigenvalues = np.linalg.eigvals(np.array(_eta4_rows(top, zero, zero, bottom)))
-    return 2 * (top[0] - bottom[0]) / _eigen_denominator(eigenvalues, isolation_tol)
+    rows = _eta4_rows(top, zero, zero, bottom)
+    return 2 * (top[0] - bottom[0]) / _eigen_denominator(rows, isolation_tol)
 
 
 def nu_numeric_oracle_2d(phat: SpinMatrix2, x,
                          isolation_tol: float = 1e-6) -> complex:
     """Two-dimensional analogue; returns a purely imaginary complex number.
-    The conjugation to the apex is exact, as in dimension 4, with
-    w = (x1 + x2 i) / (1 + x3)."""
-    import numpy as np
-
-    lift = x[2] + 1
-    w = GoldenComplex(x[0] / lift, x[1] / lift)
-    boost = SpinMatrix2(GoldenComplex(1, 0), w, validate=False)
-    conjugated = boost.inverse() * phat * boost
-    if not conjugated.b.is_zero():
-        raise InconsistentInputError("the point is not fixed by the isometry")
-    top = conjugated.a * (lift * Fraction(1, 2))
-    eigenvalues = np.linalg.eigvals(np.array(
-        eta2(SpinMatrix2.diagonal(top, validate=False), validate_output=False).real()))
+    The Lorentz eigenvalues are those of the dimension-4 image restricted
+    to the complex slice."""
+    top, bottom = _apex_form(phat, x)
     numerator = (top.conjugate() - top).real()
-    return numerator / _eigen_denominator(eigenvalues, isolation_tol)
+    top, bottom = ((z.re.real(), z.im.real(), 0.0, 0.0) for z in (top, bottom))
+    zero = (0.0,) * 4
+    rows = _complex_slice(_eta4_rows(top, zero, zero, bottom))
+    return numerator / _eigen_denominator(rows, isolation_tol)
 
 
 PROVENANCE_TAGS = ("computed-lemma82", "forced-zero-lemma71",

@@ -313,11 +313,51 @@ def test_zeta2_examples_and_roundtrip():
         HyperboloidPoint2((0, 0, -1))
 
 
+def quaternion_lift(A: SpinMatrix2) -> SpinMatrix4:
+    """A as the SpinMatrix4 whose entries have coordinates (re, im, 0, 0)."""
+    return SpinMatrix4(*(Quaternion(z.re, z.im) for z in (A.a, A.b, A.c, A.d)))
+
+
+def two_dim_words(count: int, seed: int) -> list[SpinMatrix2]:
+    rng = random.Random(seed)
+    generators = two_dim_generators()
+    return [generators[rng.randrange(3)] * generators[rng.randrange(3)]
+            * generators[rng.randrange(3)] for _ in range(count)]
+
+
+def test_spinmatrix2_products_are_products_of_quaternion_lifts():
+    words = two_dim_words(12, 5)
+    for x, y in zip(words, words[1:]):
+        lx, ly = quaternion_lift(x), quaternion_lift(y)
+        assert quaternion_lift(x * y) == lx * ly
+        assert quaternion_lift(x.inverse()) == lx.inverse()
+        assert quaternion_lift(-x) == -lx
+        assert quaternion_lift(x ** -2) == lx ** -2
+        assert quaternion_lift(x ** 0) == lx ** 0
+
+
+def test_eta4_of_the_complex_slice_fixes_x3_and_x4():
+    for x in two_dim_words(8, 9):
+        image = eta4(quaternion_lift(x))
+        for i in (2, 3):
+            for j in range(5):
+                assert image[i][j] == image[j][i] == (ONE if i == j else ZERO), (i, j)
+        assert LorentzMatrix3(tuple(tuple(image[i][j] for j in (0, 1, 4))
+                                    for i in (0, 1, 4))) == eta2(x)
+
+
 def test_verify_lift_dimension_mismatch():
     identity3 = LorentzMatrix3.identity()
     assert identity3 == LorentzMatrix3(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     with pytest.raises(TypeError):
         verify_lift(SpinMatrix4.diagonal(QUAT_ONE, QUAT_ONE), identity3)
+    for two in (SpinMatrix2.diagonal(GoldenComplex(1, 0)), *two_dim_words(3, 2)):
+        four = quaternion_lift(two)
+        assert two != four and four != two
+        with pytest.raises(TypeError):
+            two * four
+        with pytest.raises(TypeError):
+            four * two
     assert LorentzMatrix5.identity() != identity3
     assert APEX != APEX2
     with pytest.raises(TypeError):
