@@ -235,21 +235,24 @@ def _cmd_spin_nu(args) -> int:
 def _verify_checks():
     golden_random = random.Random(20260818)
 
+    def expect(seen, wanted, what: str) -> None:
+        assert seen == wanted, f"{what} = {seen}, expected {wanted}"
+
     def exactfield_defining_relation():
         tau = GoldenNumber(0, 1)
         sqrt5 = GoldenNumber(-1, 2)
-        assert tau * tau == tau + GoldenNumber(1)
-        assert sqrt5 * sqrt5 == GoldenNumber(5)
-        assert tau.galois() == GoldenNumber(1) - tau
+        expect(tau * tau, tau + GoldenNumber(1), "tau^2")
+        expect(sqrt5 * sqrt5, GoldenNumber(5), "sqrt5^2")
+        expect(tau.galois(), GoldenNumber(1) - tau, "galois(tau)")
         return "tau^2 = tau + 1, sqrt5^2 = 5, galois(tau) = 1 - tau"
 
     def icosa_enumeration():
         elements = icosa.enumerate_2I()
-        assert len(elements) == 120
-        assert len(set(elements)) == 120
+        expect(len(elements), 120, "number of unit icosians")
+        expect(len(set(elements)), 120, "number of distinct unit icosians")
         sizes = {label: len(icosa.class_elements(label))
                  for label in icosa.CLASS_LABELS}
-        assert sizes == icosa.CLASS_SIZES
+        expect(sizes, icosa.CLASS_SIZES, "class sizes")
         return "120 unit icosians in 9 classes with recorded sizes"
 
     def icosa_character_orthogonality():
@@ -259,42 +262,46 @@ def _verify_checks():
                 for label in icosa.CLASS_LABELS:
                     value = icosa.char_2I(r1, label) * icosa.char_2I(r2, label)
                     total = total + value * GoldenNumber(icosa.CLASS_SIZES[label])
-                assert total == GoldenNumber(120 if r1 == r2 else 0)
+                expect(total, GoldenNumber(120 if r1 == r2 else 0), f"<{r1}, {r2}>")
         return "all 81 row inner products exact"
 
     def icosa_alpha_automorphism():
         elements = icosa.enumerate_2I()
         image = {icosa.element_key(q): icosa.alpha(q) for q in elements}
-        assert len({icosa.element_key(v) for v in image.values()}) == 120
+        expect(len({icosa.element_key(v) for v in image.values()}), 120,
+               "number of distinct alpha values")
         sample = golden_random.sample(
             [(x, y) for x in elements for y in elements], 800)
         for x, y in sample:
-            assert icosa.alpha(x * y) == icosa.alpha(x) * icosa.alpha(y)
+            expect(icosa.alpha(x * y), icosa.alpha(x) * icosa.alpha(y),
+                   f"alpha of {x} times {y}")
         q = icosa.G1
         for _ in range(4):
             q = icosa.alpha(q)
-        assert q == icosa.G1
+        expect(q, icosa.G1, "alpha^4(g1)")
         return "alpha bijective, multiplicative on 800 sampled pairs, order 4"
 
     def ghat_class_structure():
-        assert ghat.group_order() == 28800
+        expect(ghat.group_order(), 28800, "group order")
         classes = ghat.conjugacy_classes()
-        assert len(classes) == 54
-        assert sum(cls.size for cls in classes) == 28800
-        assert sum(1 for cls in classes if ghat.minus_class(cls) is cls) == 14
+        expect(len(classes), 54, "number of classes")
+        expect(sum(cls.size for cls in classes), 28800, "sum of class sizes")
+        expect(sum(1 for cls in classes if ghat.minus_class(cls) is cls), 14,
+               "number of self-minus-paired classes")
         return "order 28800, 54 classes, 14 self-minus-paired"
 
     def chartable_orthogonality():
         checks = reptheory.orthogonality_checks()
-        assert checks == {"rows": True, "columns": True}
+        expect(checks, {"rows": True, "columns": True}, "orthogonality")
         return "row and column orthogonality exact over 54 characters"
 
     def chartable_spinorial_partition():
         chars = reptheory.chartable_ghat()
         spinorial = [int(c.dimension.a) for c in chars if c.spinorial]
-        assert sorted(spinorial) == [4, 4, 8, 12, 12, 12, 12, 12, 16, 16, 20,
-                                     20, 24, 24, 32, 36, 36, 40, 48, 60]
-        assert sum(int(c.dimension.a) ** 2 for c in chars) == 28800
+        expect(sorted(spinorial), [4, 4, 8, 12, 12, 12, 12, 12, 16, 16, 20, 20, 24,
+                                   24, 32, 36, 36, 40, 48, 60], "spinorial dimensions")
+        expect(sum(int(c.dimension.a) ** 2 for c in chars), 28800,
+               "sum of squared dimensions")
         return "20 spinorial characters with the recorded dimension multiset"
 
     def chartable_galois_symmetry():
@@ -306,25 +313,25 @@ def _verify_checks():
         lifts = spinindex.davis_rotation_lifts()
         generators = [lift for lift, _ in lifts.values()]
         for name, (lift, image) in sorted(lifts.items()):
-            assert eta4(lift) == image, name
+            expect(eta4(lift), image, f"eta4({name})")
         sigma, sigma_hat = spinindex.davis_sigma_data()
-        assert eta4(sigma_hat) == sigma
-        assert verify_lift(sigma_hat, sigma)
+        expect(eta4(sigma_hat), sigma, "eta4(sigma-hat)")
+        expect(verify_lift(sigma_hat, sigma), True, "verify_lift(sigma-hat, sigma)")
         for _ in range(20):
             a = generators[golden_random.randrange(4)]
             b = generators[golden_random.randrange(4)]
             word_a = a * generators[golden_random.randrange(4)]
-            assert eta4(word_a * b) == eta4(word_a) * eta4(b)
-            assert eta4(-word_a) == eta4(word_a)
+            expect(eta4(word_a * b), eta4(word_a) * eta4(b), f"eta4 of {word_a} * {b}")
+            expect(eta4(-word_a), eta4(word_a), f"eta4 of -({word_a})")
         return "eta4 multiplicative on sampled words; recorded images match"
 
     def sigma_involution():
         sigma, sigma_hat = spinindex.davis_sigma_data()
         identity = SpinMatrix4.diagonal(Quaternion(GoldenNumber(1)),
                                         Quaternion(GoldenNumber(1)))
-        assert sigma_hat * sigma_hat == -identity
-        assert sigma * sigma == sigma.identity()
-        assert sigma[4][4] == GoldenNumber(5, 8)
+        expect(sigma_hat * sigma_hat, -identity, "sigma-hat^2")
+        expect(sigma * sigma, sigma.identity(), "sigma^2")
+        expect(sigma[4][4], GoldenNumber(5, 8), "sigma entry (5, 5)")
         return "sigma-hat has order 4 over the involution sigma; entry (5,5) = 5+8t"
 
     def spin_antisymmetry():
@@ -332,7 +339,7 @@ def _verify_checks():
         by_name = {row.name: row for row in rows}
         for row in rows:
             partner = by_name[ghat.minus_class(ghat.class_by_name(row.name)).name]
-            assert partner.spin == -row.spin
+            expect(partner.spin, -row.spin, f"spin at {partner.name}")
         return "spin value at each minus class is the negation, all 54 classes"
 
     def spin_two_fixed_points():
@@ -341,22 +348,22 @@ def _verify_checks():
         for name, row in rows.items():
             if row.fp_count == 2 and "+" in name:
                 value = spinindex.spin_number_two_fp(name)
-                assert value.value == GoldenComplex.coerce(row.spin), name
+                expect(value.value, GoldenComplex.coerce(row.spin), f"spin of {name}")
                 checked += 1
-        assert checked == 14
+        expect(checked, 14, "number of recorded 2-FP pair rows")
         return "two-point formula reproduces all 14 recorded 2-FP pair rows"
 
     def spin_norm():
         _, values = spinindex.davis_spin_character()
-        assert reptheory.inner_product(values, values) == GoldenNumber(2)
+        expect(reptheory.inner_product(values, values), GoldenNumber(2), "<spin, spin>")
         return "<spin, spin> = 2"
 
     def index_decomposition():
         decomposition = spinindex.decompose_davis_index()
-        assert decomposition.plus.label.render() == "(2'⊗3')⊕(3⊗2)"
-        assert decomposition.minus.label.render() == "(2⊗3)⊕(3'⊗2')"
-        assert decomposition.harmonic_minimum == 24
-        assert decomposition.harmonic_step == 8
+        expect(decomposition.plus.label.render(), "(2'⊗3')⊕(3⊗2)", "index plus part")
+        expect(decomposition.minus.label.render(), "(2⊗3)⊕(3'⊗2')", "index minus part")
+        expect(decomposition.harmonic_minimum, 24, "harmonic minimum")
+        expect(decomposition.harmonic_step, 8, "harmonic step")
         return "index = +(2'(x)3')(+)(3(x)2) - (2(x)3)(+)(3'(x)2'); dim H = 24 + 8k"
 
     def oracle_agreement():
@@ -375,7 +382,7 @@ def _verify_checks():
                 x = eta4(h).apply(APEX)
                 oracle = spinindex.nu_numeric_oracle(h * base * h.inverse(), x)
                 worst = max(worst, abs(exact - oracle))
-        assert worst < ORACLE_TOLERANCE
+        assert worst < ORACLE_TOLERANCE, f"worst gap {worst!r}"
         return f"9 conjugated probes agree with exact values; worst gap {worst:.2e}"
 
     return [

@@ -362,13 +362,14 @@ class IndexDecomposition:
 
 def decompose_davis_index() -> IndexDecomposition:
     _, values = davis_spin_character()
+    chars = reptheory.chartable_ghat()
     multiplicities = []
-    for value in reptheory.decompose(values):
+    for character, value in zip(chars, reptheory.decompose(values)):
         if value.b != 0 or value.a.denominator != 1:
             raise DataInconsistencyError(
-                f"non-integral multiplicity {value} in the index decomposition")
+                f"non-integral multiplicity {value} of {character.label.render()} "
+                "in the index decomposition")
         multiplicities.append(int(value.a))
-    chars = reptheory.chartable_ghat()
     positives = [chars[i] for i, m in enumerate(multiplicities) if m == 1]
     negatives = [chars[i] for i, m in enumerate(multiplicities) if m == -1]
     others = [m for m in multiplicities if m not in (0, 1, -1)]

@@ -423,6 +423,27 @@ def test_data_override_failure_exits_one(tmp_path, monkeypatch, capsys):
             assert "1×3+3×1" in err and "JSON integer" in err, err
 
 
+def test_verify_failures_say_what_they_saw(tmp_path, monkeypatch, capsys):
+    bundled = Path(davisspin.__file__).parent / "data" / "davis_table6.json"
+    payload = json.loads(bundled.read_text(encoding="utf-8"))
+    for record in payload["rows"]:
+        if record["name"] == "1×5A+5B×1":
+            record["spin"] = [record["spin"][0] + 1, record["spin"][1]]
+    seeded = tmp_path / "table.json"
+    seeded.write_text(json.dumps(payload), encoding="utf-8")
+    monkeypatch.setenv("SPININDEX_DATA", str(seeded))
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 1 and err == ""
+    failed = {entry["check"]: entry["detail"] for entry in json.loads(out)
+              if entry["status"] == "fail"}
+    assert failed == {
+        "index-decomposition": "DataInconsistencyError: non-integral multiplicity "
+                               "1/300 + -1/600*t of (1⊗2')⊕(2⊗1) in the index "
+                               "decomposition",
+        "spin-norm": "AssertionError: <spin, spin> = 397/200 + 1/30*t, "
+                     "expected 2/1 + 0/1*t"}
+
+
 def _checkout_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -339,7 +339,8 @@ def test_data_corrupted_spin_breaks_integrality(tmp_path, monkeypatch):
             if record["name"] == "1×5A+5B×1":
                 record["spin"] = [record["spin"][0] + 1, record["spin"][1]]
     monkeypatch.setenv("SPININDEX_DATA", write_rows(tmp_path, bump))
-    with pytest.raises(DataInconsistencyError):
+    with pytest.raises(DataInconsistencyError,
+                       match=r"^non-integral multiplicity .* of \(1⊗2'\)⊕\(2⊗1\) in "):
         decompose_davis_index()
 
 
