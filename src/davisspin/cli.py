@@ -235,8 +235,8 @@ def _cmd_spin_nu(args) -> int:
 def _verify_checks():
     golden_random = random.Random(20260818)
 
-    def expect(seen, wanted, what: str) -> None:
-        assert seen == wanted, f"{what} = {seen}, expected {wanted}"
+    def expect(seen, wanted, what: str, *args) -> None:
+        assert seen == wanted, f"{what.format(*args)} = {seen}, expected {wanted}"
 
     def exactfield_defining_relation():
         tau = GoldenNumber(0, 1)
@@ -262,7 +262,7 @@ def _verify_checks():
                 for label in icosa.CLASS_LABELS:
                     value = icosa.char_2I(r1, label) * icosa.char_2I(r2, label)
                     total = total + value * GoldenNumber(icosa.CLASS_SIZES[label])
-                expect(total, GoldenNumber(120 if r1 == r2 else 0), f"<{r1}, {r2}>")
+                expect(total, GoldenNumber(120 if r1 == r2 else 0), "<{}, {}>", r1, r2)
         return "all 81 row inner products exact"
 
     def icosa_alpha_automorphism():
@@ -274,7 +274,7 @@ def _verify_checks():
             [(x, y) for x in elements for y in elements], 800)
         for x, y in sample:
             expect(icosa.alpha(x * y), icosa.alpha(x) * icosa.alpha(y),
-                   f"alpha of {x} times {y}")
+                   "alpha of {} times {}", x, y)
         q = icosa.G1
         for _ in range(4):
             q = icosa.alpha(q)
@@ -313,7 +313,7 @@ def _verify_checks():
         lifts = spinindex.davis_rotation_lifts()
         generators = [lift for lift, _ in lifts.values()]
         for name, (lift, image) in sorted(lifts.items()):
-            expect(eta4(lift), image, f"eta4({name})")
+            expect(eta4(lift), image, "eta4({})", name)
         sigma, sigma_hat = spinindex.davis_sigma_data()
         expect(eta4(sigma_hat), sigma, "eta4(sigma-hat)")
         expect(verify_lift(sigma_hat, sigma), True, "verify_lift(sigma-hat, sigma)")
@@ -321,8 +321,8 @@ def _verify_checks():
             a = generators[golden_random.randrange(4)]
             b = generators[golden_random.randrange(4)]
             word_a = a * generators[golden_random.randrange(4)]
-            expect(eta4(word_a * b), eta4(word_a) * eta4(b), f"eta4 of {word_a} * {b}")
-            expect(eta4(-word_a), eta4(word_a), f"eta4 of -({word_a})")
+            expect(eta4(word_a * b), eta4(word_a) * eta4(b), "eta4 of {} * {}", word_a, b)
+            expect(eta4(-word_a), eta4(word_a), "eta4 of -({})", word_a)
         return "eta4 multiplicative on sampled words; recorded images match"
 
     def sigma_involution():
@@ -339,7 +339,7 @@ def _verify_checks():
         by_name = {row.name: row for row in rows}
         for row in rows:
             partner = by_name[ghat.minus_class(ghat.class_by_name(row.name)).name]
-            expect(partner.spin, -row.spin, f"spin at {partner.name}")
+            expect(partner.spin, -row.spin, "spin at {}", partner.name)
         return "spin value at each minus class is the negation, all 54 classes"
 
     def spin_two_fixed_points():
@@ -348,7 +348,7 @@ def _verify_checks():
         for name, row in rows.items():
             if row.fp_count == 2 and "+" in name:
                 value = spinindex.spin_number_two_fp(name)
-                expect(value.value, GoldenComplex.coerce(row.spin), f"spin of {name}")
+                expect(value.value, GoldenComplex.coerce(row.spin), "spin of {}", name)
                 checked += 1
         expect(checked, 14, "number of recorded 2-FP pair rows")
         return "two-point formula reproduces all 14 recorded 2-FP pair rows"
