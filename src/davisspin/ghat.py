@@ -4,6 +4,7 @@ conjugacy classes, the minus-pairing, and power maps."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
@@ -13,10 +14,60 @@ from .quatmat import Quaternion, QUAT_ONE
 from . import icosa
 
 
+Triple = tuple[int, int, int]
+
+
+def mul_triple(a: Triple, b: Triple) -> Triple:
+    """Product of two index triples: (p1, q1, 0)(p2, q2, e) = (p1 p2, q1 q2, e)
+    and (p1, q1, 1)(p2, q2, e) = (p1 alpha^-1(q2), q1 alpha(p2), 1 - e)."""
+    tables = icosa.tables()
+    p1, q1, e1 = a
+    p2, q2, e2 = b
+    if e1 == 0:
+        return (tables.mul[p1][p2], tables.mul[q1][q2], e2)
+    return (tables.mul[p1][tables.alpha_inv[q2]],
+            tables.mul[q1][tables.alpha[p2]], 1 ^ e2)
+
+
+def inverse_triple(triple: Triple) -> Triple:
+    tables = icosa.tables()
+    p, q, e = triple
+    if e == 0:
+        return (tables.inv[p], tables.inv[q], 0)
+    return (tables.inv[tables.alpha_inv[q]], tables.inv[tables.alpha[p]], 1)
+
+
+def coset_slot(triple: Triple) -> str:
+    """The 2I class of p alpha^-1(q), the first slot of the square of the
+    coset element (p, q, 1); it fixes the element's class and order."""
+    tables = icosa.tables()
+    p, q, _ = triple
+    return tables.label[tables.mul[p][tables.alpha_inv[q]]]
+
+
+def triple_order(triple: Triple) -> int:
+    p, q, e = triple
+    if e == 0:
+        label = icosa.tables().label
+        return lcm(icosa.CLASS_ORDERS[label[p]], icosa.CLASS_ORDERS[label[q]])
+    return 2 * icosa.CLASS_ORDERS[coset_slot(triple)]
+
+
+def power_triple(triple: Triple, exponent: int) -> Triple:
+    one = icosa.tables().one
+    return power(triple, exponent % triple_order(triple), (one, one, 0), mul_triple)
+
+
+def _element(triple: Triple) -> GhatElement:
+    elements = icosa.enumerate_2I()
+    p, q, e = triple
+    return GhatElement(elements[p], elements[q], e)
+
+
 @dataclass(frozen=True)
 class GhatElement:
     """Element (p, q, eps): eps = 0 acts as (p, q), eps = 1 composes with the
-    swap-twist involution."""
+    swap-twist involution. Its arithmetic runs on its index triple."""
 
     p: Quaternion
     q: Quaternion
@@ -26,31 +77,25 @@ class GhatElement:
         if self.eps not in (0, 1):
             raise ValueError("eps must be 0 or 1")
 
+    @property
+    def triple(self) -> Triple:
+        """(index of p, index of q, eps) in icosa.enumerate_2I(); raises
+        MembershipError when p or q is not a unit icosian."""
+        return (icosa._index_of(self.p), icosa._index_of(self.q), self.eps)
+
     def __mul__(self, other: GhatElement) -> GhatElement:
         if not isinstance(other, GhatElement):
             return NotImplemented
-        if self.eps == 0:
-            return GhatElement(self.p * other.p, self.q * other.q, other.eps)
-        return GhatElement(self.p * icosa.alpha_inverse(other.q),
-                           self.q * icosa.alpha(other.p),
-                           1 ^ other.eps)
+        return _element(mul_triple(self.triple, other.triple))
 
     def inverse(self) -> GhatElement:
-        if self.eps == 0:
-            return GhatElement(self.p.conjugate(), self.q.conjugate(), 0)
-        return GhatElement(icosa.alpha_inverse(self.q).conjugate(),
-                           icosa.alpha(self.p).conjugate(), 1)
+        return _element(inverse_triple(self.triple))
 
     def __pow__(self, exponent: int) -> GhatElement:
-        return power(self, exponent, IDENTITY)
+        return _element(power_triple(self.triple, exponent))
 
     def order(self) -> int:
-        element = self
-        for n in range(1, 121):
-            if element == IDENTITY:
-                return n
-            element = element * self
-        raise RuntimeError("element order exceeds the group bound")
+        return triple_order(self.triple)
 
     def __str__(self) -> str:
         return f"({self.p}, {self.q}, {self.eps})"
@@ -121,61 +166,12 @@ _COSET_LABEL = {"1": "2", "2": "1", "3": "6", "6": "3", "4": "4",
                 "5A": "10A", "5B": "10B", "10A": "5A", "10B": "5B"}
 
 
-class _Engine:
-    """The group on integer triples (p, q, eps), p and q indices into
-    icosa.enumerate_2I(), with closed-form class names and orders."""
-
-    def __init__(self) -> None:
-        tables = icosa.tables()
-        self.elements = icosa.enumerate_2I()
-        self.index = tables.index
-        self.mul = tables.mul
-        self.neg = tables.neg
-        self.alpha = tables.alpha
-        self.alpha_inv = tables.alpha_inv
-        self.label = tables.label
-        self.identity = (self.index[QUAT_ONE], self.index[QUAT_ONE], 0)
-        one = self.identity[0]
-        g1, g2 = self.index[icosa.G1], self.index[icosa.G2]
-        self.generator_triples = ((g1, one, 0), (g2, one, 0), (one, g1, 0),
-                                  (one, g2, 0), (one, one, 1))
-
-    def mul_triple(self, a: tuple[int, int, int], b: tuple[int, int, int]):
-        p1, q1, e1 = a
-        p2, q2, e2 = b
-        if e1 == 0:
-            return (self.mul[p1][p2], self.mul[q1][q2], e2)
-        return (self.mul[p1][self.alpha_inv[q2]],
-                self.mul[q1][self.alpha[p2]], 1 ^ e2)
-
-    def class_name(self, triple: tuple[int, int, int]) -> str:
-        p, q, e = triple
-        if e == 0:
-            return _pair_name(self.label[p], self.label[q])
-        return _coset_name(_COSET_LABEL[self.label[self.mul[p][self.alpha_inv[q]]]])
-
-    def order(self, triple: tuple[int, int, int]) -> int:
-        p, q, e = triple
-        if e == 0:
-            return lcm(icosa.CLASS_ORDERS[self.label[p]], icosa.CLASS_ORDERS[self.label[q]])
-        return 2 * icosa.CLASS_ORDERS[self.label[self.mul[p][self.alpha_inv[q]]]]
-
-    def to_element(self, triple: tuple[int, int, int]) -> GhatElement:
-        p, q, e = triple
-        return GhatElement(self.elements[p], self.elements[q], e)
-
-    def triple(self, element: GhatElement) -> tuple[int, int, int]:
-        p = self.index.get(element.p)
-        q = self.index.get(element.q)
-        if p is None or q is None:
-            raise icosa.MembershipError(
-                "element components are not unit icosians")
-        return (p, q, element.eps)
-
-
-@lru_cache(maxsize=None)
-def _engine() -> _Engine:
-    return _Engine()
+def triple_class_name(triple: Triple) -> str:
+    p, q, e = triple
+    if e == 0:
+        label = icosa.tables().label
+        return _pair_name(label[p], label[q])
+    return _coset_name(_COSET_LABEL[coset_slot(triple)])
 
 
 @dataclass(frozen=True)
@@ -184,10 +180,14 @@ class GhatClass:
     element order and size."""
 
     name: str
-    representative: GhatElement
+    triple: Triple
     order: int
     size: int
     is_coset: bool
+
+    @property
+    def representative(self) -> GhatElement:
+        return _element(self.triple)
 
     def __str__(self) -> str:
         return f"{self.name} (order {self.order}, size {self.size})"
@@ -196,19 +196,26 @@ class GhatClass:
 @lru_cache(maxsize=None)
 def conjugacy_classes() -> tuple[GhatClass, ...]:
     """All 54 conjugacy classes in canonical order
-    (subgroup first, then by element order, class size, name)."""
-    eng = _engine()
-    first: dict[str, tuple[int, int, int]] = {}
-    sizes: dict[str, int] = {}
-    for p in range(120):
-        for q in range(120):
-            for e in (0, 1):
-                name = eng.class_name((p, q, e))
-                first.setdefault(name, (p, q, e))
-                sizes[name] = sizes.get(name, 0) + 1
-    classes = [GhatClass(name=name, representative=eng.to_element(triple),
-                         order=eng.order(triple), size=sizes[name],
-                         is_coset=name.startswith("["))
+    (subgroup first, then by element order, class size, name). The 2I
+    classes x, y hold |x| |y| triples (p, q, 0); each p alpha^-1(q) runs once
+    over 2I as q does, so every coset class meets the triples (0, q, 1)."""
+    label = icosa.tables().label
+    first_index = {l: label.index(l) for l in icosa.CLASS_LABELS}
+    first: dict[str, Triple] = {}
+    sizes: Counter[str] = Counter()
+    for x in icosa.CLASS_LABELS:
+        for y in icosa.CLASS_LABELS:
+            name = _pair_name(x, y)
+            triple = (first_index[x], first_index[y], 0)
+            first[name] = min(first.get(name, triple), triple)
+            sizes[name] += icosa.CLASS_SIZES[x] * icosa.CLASS_SIZES[y]
+    for q in range(120):
+        triple = (0, q, 1)
+        name = triple_class_name(triple)
+        first.setdefault(name, triple)
+        sizes[name] += 120
+    classes = [GhatClass(name=name, triple=triple, order=triple_order(triple),
+                         size=sizes[name], is_coset=name.startswith("["))
                for name, triple in first.items()]
     classes.sort(key=lambda c: (c.is_coset, c.order, c.size, c.name))
     return tuple(classes)
@@ -219,12 +226,12 @@ def _classes_by_name() -> dict[str, GhatClass]:
     return {cls.name: cls for cls in conjugacy_classes()}
 
 
-def _class_of_triple(triple: tuple[int, int, int]) -> GhatClass:
-    return _classes_by_name()[_engine().class_name(triple)]
+def _class_of_triple(triple: Triple) -> GhatClass:
+    return _classes_by_name()[triple_class_name(triple)]
 
 
 def class_of_element(element: GhatElement) -> GhatClass:
-    return _class_of_triple(_engine().triple(element))
+    return _class_of_triple(element.triple)
 
 
 def class_name(element: GhatElement) -> str:
@@ -240,15 +247,13 @@ def class_by_name(name: str) -> GhatClass:
 
 def minus_class(cls: GhatClass) -> GhatClass:
     """Class of (-1, -1, 0) times the class."""
-    eng = _engine()
-    p, q, e = eng.triple(cls.representative)
-    return _class_of_triple((eng.neg[p], eng.neg[q], e))
+    neg = icosa.tables().neg
+    p, q, e = cls.triple
+    return _class_of_triple((neg[p], neg[q], e))
 
 
 def power_map(cls: GhatClass, exponent: int) -> GhatClass:
-    eng = _engine()
-    return _class_of_triple(power(eng.triple(cls.representative), exponent % cls.order,
-                                  eng.identity, eng.mul_triple))
+    return _class_of_triple(power_triple(cls.triple, exponent))
 
 
 def group_order() -> int:

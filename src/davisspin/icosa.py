@@ -119,16 +119,19 @@ def _icosian_product(x: tuple, y: tuple) -> tuple:
 
 @dataclass(frozen=True)
 class IcosianTables:
-    """2I on the indices of enumerate_2I(): the Cayley table, inverse,
-    negation, class label, and the automorphism alpha and its inverse."""
+    """2I on the indices of enumerate_2I(): the index of 1, the Cayley table,
+    inverse, negation, class label, the automorphism alpha and its inverse,
+    and a shortest word of each element in G1 (0) and G2 (1)."""
 
     index: dict[Quaternion, int]
+    one: int
     mul: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
     neg: tuple[int, ...]
     label: tuple[str, ...]
     alpha: tuple[int, ...]
     alpha_inv: tuple[int, ...]
+    words: tuple[tuple[int, ...], ...]
 
 
 def _compose(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
@@ -141,7 +144,8 @@ def tables() -> IcosianTables:
     """All group work on 2I, built from the doubled integer coordinates.
     Only the rows of the two generators are icosian products: row(g*a) is
     row(g) composed with row(a), because g*a*b = g*(a*b), and alpha(g*a) is
-    alpha(g)*alpha(a), both filled in by one breadth-first walk from 1."""
+    alpha(g)*alpha(a), both filled in by one breadth-first walk from 1; the
+    walk's path to g*a is the word of g followed by the word of a."""
     elements = enumerate_2I()
     index = {q: i for i, q in enumerate(elements)}
     ints = [tuple(_doubled(c) for c in q.coords) for q in elements]
@@ -159,15 +163,17 @@ def tables() -> IcosianTables:
         steps.append((row, power(row, exponent, identity, _compose)))
     rows = {one: identity}
     alpha = {one: one}
+    words = {one: ()}
     frontier = [one]
     while frontier:
         next_frontier = []
         for current in frontier:
-            for row, image_row in steps:
+            for generator, (row, image_row) in enumerate(steps):
                 successor = row[current]
                 if successor not in rows:
                     rows[successor] = _compose(row, rows[current])
                     alpha[successor] = image_row[alpha[current]]
+                    words[successor] = (generator, *words[current])
                     next_frontier.append(successor)
         frontier = next_frontier
     if len(rows) != 120 or any(len(set(r)) != 120 for r in rows.values()):
@@ -176,9 +182,10 @@ def tables() -> IcosianTables:
         raise RuntimeError("automorphism table is not a bijection of 2I")
     alpha_inv = {image: source for source, image in alpha.items()}
     return IcosianTables(
-        index=index, mul=tuple(rows[i] for i in range(120)), inv=inv, neg=neg,
-        label=label, alpha=tuple(alpha[i] for i in range(120)),
-        alpha_inv=tuple(alpha_inv[i] for i in range(120)))
+        index=index, one=one, mul=tuple(rows[i] for i in range(120)), inv=inv,
+        neg=neg, label=label, alpha=tuple(alpha[i] for i in range(120)),
+        alpha_inv=tuple(alpha_inv[i] for i in range(120)),
+        words=tuple(words[i] for i in range(120)))
 
 
 def _index_of(q: Quaternion) -> int:
@@ -231,34 +238,16 @@ def char_2I(rep_label: str, class_label: str) -> GoldenNumber:
     return GoldenNumber(*CHAR_TABLE[rep_label][CLASS_LABELS.index(class_label)])
 
 
-def word_decompose(q: Quaternion,
-                   generators: tuple[Quaternion, ...] = (G1, G2)) -> list[int]:
-    """Shortest list of generator indices whose left-to-right product is q,
-    found breadth-first."""
-    if q == QUAT_ONE:
-        return []
-    words: dict[Quaternion, list[int]] = {QUAT_ONE: []}
-    frontier = [QUAT_ONE]
-    while frontier:
-        next_frontier = []
-        for current in frontier:
-            for index, generator in enumerate(generators):
-                successor = current * generator
-                if successor in words:
-                    continue
-                words[successor] = words[current] + [index]
-                if successor == q:
-                    return words[successor]
-                next_frontier.append(successor)
-        frontier = next_frontier
-    raise ValueError("the given generators do not generate the element")
+def word_decompose(q: Quaternion) -> list[int]:
+    """Shortest list of generator indices (0 for G1, 1 for G2) whose
+    left-to-right product is q, as recorded by the walk in tables()."""
+    return list(tables().words[_index_of(q)])
 
 
-def evaluate_word(word: list[int],
-                  generators: tuple[Quaternion, ...] = (G1, G2)) -> Quaternion:
+def evaluate_word(word: list[int]) -> Quaternion:
     result = QUAT_ONE
     for index in word:
-        result = result * generators[index]
+        result = result * (G1, G2)[index]
     return result
 
 

@@ -215,19 +215,18 @@ def _golden_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def _class_slots() -> tuple[tuple[int, ...], ...]:
-    """The 2I class columns each class of the full group reads, from the
-    index triple of its representative: (label(p), label(q)) for (p, q, 0);
-    (label(p alpha^-1(q)),) for (p, q, 1), the first slot of its square."""
-    tables = icosa.tables()
-    column = {label: i for i, label in enumerate(icosa.CLASS_LABELS)}
+    """The 2I class columns each class of the full group reads, from its
+    smallest index triple: (label(p), label(q)) for (p, q, 0); the coset
+    slot (label(p alpha^-1(q)),) for (p, q, 1), the first slot of its square."""
+    label = icosa.tables().label
+    column = {l: i for i, l in enumerate(icosa.CLASS_LABELS)}
     slots = []
     for cls in ghat.conjugacy_classes():
-        rep = cls.representative
-        p, q = tables.index[rep.p], tables.index[rep.q]
-        if rep.eps == 0:
-            slots.append((column[tables.label[p]], column[tables.label[q]]))
+        p, q, e = cls.triple
+        if e == 0:
+            slots.append((column[label[p]], column[label[q]]))
         else:
-            slots.append((column[tables.label[tables.mul[p][tables.alpha_inv[q]]]],))
+            slots.append((column[ghat.coset_slot(cls.triple)],))
     return tuple(slots)
 
 

@@ -108,18 +108,17 @@ def _all_triples():
 
 
 def test_class_sizes_divide_group_order():
-    eng = ghat._engine()
-    members = Counter(eng.class_name(triple) for triple in _all_triples())
+    members = Counter(ghat.triple_class_name(triple) for triple in _all_triples())
     for cls in ghat.conjugacy_classes():
         assert cls.representative.order() == cls.order
         assert 28800 % cls.size == 0
         assert members[cls.name] == cls.size
 
 
-def _triple_order(eng, triple):
+def _triple_order(identity, triple):
     element, n = triple, 1
-    while element != eng.identity:
-        element, n = eng.mul_triple(element, triple), n + 1
+    while element != identity:
+        element, n = ghat.mul_triple(element, triple), n + 1
     return n
 
 
@@ -129,16 +128,19 @@ def test_closed_form_classes_are_conjugation_orbits():
     same name across an orbit, one orbit per name, the orbit's size, its
     smallest triple as representative, and each member's order. A coset
     orbit is named [1×l] after its members (1, w, 1), l the class of -w."""
-    eng = ghat._engine()
-    inv = icosa.tables().inv
+    tables = icosa.tables()
+    inv = tables.inv
+    one, g1, g2 = (tables.index[q] for q in (QUAT_ONE, icosa.G1, icosa.G2))
+    identity = (one, one, 0)
 
     def inverse(triple):
         p, q, e = triple
         if e == 0:
             return (inv[p], inv[q], 0)
-        return (inv[eng.alpha_inv[q]], inv[eng.alpha[p]], 1)
+        return (inv[tables.alpha_inv[q]], inv[tables.alpha[p]], 1)
 
-    generators = [(g, inverse(g)) for g in eng.generator_triples]
+    generators = [(g, inverse(g)) for g in ((g1, one, 0), (g2, one, 0), (one, g1, 0),
+                                            (one, g2, 0), (one, one, 1))]
     seen, names = set(), set()
     for seed in _all_triples():
         if seed in seen:
@@ -148,23 +150,23 @@ def test_closed_form_classes_are_conjugation_orbits():
         while frontier:
             current = frontier.pop()
             for gen, gen_inv in generators:
-                conjugate = eng.mul_triple(gen, eng.mul_triple(current, gen_inv))
+                conjugate = ghat.mul_triple(gen, ghat.mul_triple(current, gen_inv))
                 if conjugate not in seen:
                     seen.add(conjugate)
                     orbit.append(conjugate)
                     frontier.append(conjugate)
-        name = eng.class_name(seed)
+        name = ghat.triple_class_name(seed)
         if seed[2] == 1:
-            assert {f"[1×{eng.label[eng.neg[q]]}]" for p, q, _ in orbit
-                    if p == eng.identity[0]} == {name}
+            assert {f"[1×{tables.label[tables.neg[q]]}]" for p, q, _ in orbit
+                    if p == one} == {name}
         assert name not in names
         names.add(name)
         cls = ghat.class_by_name(name)
         assert cls.size == len(orbit), name
-        assert cls.representative == eng.to_element(seed), name
+        assert cls.triple == seed, name
         for member in orbit:
-            assert eng.class_name(member) == name, (member, name)
-            assert _triple_order(eng, member) == cls.order, (member, name)
+            assert ghat.triple_class_name(member) == name, (member, name)
+            assert _triple_order(identity, member) == cls.order, (member, name)
     assert len(seen) == 28800
     assert names == {cls.name for cls in ghat.conjugacy_classes()}
 

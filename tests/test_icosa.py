@@ -180,14 +180,26 @@ def test_alpha_is_not_inner():
 
 
 def test_word_decomposition_roundtrip():
-    rng = random.Random(4)
-    elements = icosa.enumerate_2I()
-    for q in rng.sample(elements, 30):
+    """Every element's word evaluates back to it and is as short as its
+    distance from 1 in a breadth-first walk on exact products."""
+    distance = {QUAT_ONE: 0}
+    frontier = [QUAT_ONE]
+    while frontier:
+        next_frontier = []
+        for current in frontier:
+            for generator in (icosa.G1, icosa.G2):
+                successor = current * generator
+                if successor not in distance:
+                    distance[successor] = distance[current] + 1
+                    next_frontier.append(successor)
+        frontier = next_frontier
+    for q in icosa.enumerate_2I():
         word = icosa.word_decompose(q)
         assert icosa.evaluate_word(word) == q
+        assert len(word) == distance[q], q
     assert icosa.word_decompose(QUAT_ONE) == []
-    with pytest.raises(ValueError):
-        icosa.word_decompose(Quaternion(0, 1), generators=(-QUAT_ONE,))
+    with pytest.raises(icosa.MembershipError):
+        icosa.word_decompose(Quaternion(0, 1, 1))
 
 
 def test_generators_have_expected_classes():

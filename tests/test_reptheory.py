@@ -128,15 +128,15 @@ def test_coset_value_is_a_class_function():
     """The closed form reads the 2I class of the first slot p alpha^-1(q) of
     g^2 at g = (p, q, 1); that class must be the same across each coset
     class, and the "+" extension of 2 (x) 2' must take chi_2 of it."""
-    eng = ghat._engine()
+    label = icosa.tables().label
     plus = extend_character("2", "2'", 1)
     labels = {}
     for p in range(120):
         for q in range(120):
             for e in (0, 1):
                 triple = (p, q, e)
-                labels.setdefault(eng.class_name(triple), set()).add(
-                    eng.label[eng.mul_triple(triple, triple)[0]])
+                labels.setdefault(ghat.triple_class_name(triple), set()).add(
+                    label[ghat.mul_triple(triple, triple)[0]])
     for cls in ghat.conjugacy_classes():
         if not cls.is_coset:
             continue
