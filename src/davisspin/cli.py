@@ -236,7 +236,8 @@ def _verify_checks():
     golden_random = random.Random(20260818)
 
     def expect(seen, wanted, what: str, *args) -> None:
-        assert seen == wanted, f"{what.format(*args)} = {seen}, expected {wanted}"
+        if seen != wanted:
+            raise AssertionError(f"{what.format(*args)} = {seen}, expected {wanted}")
 
     def exactfield_defining_relation():
         tau = GoldenNumber(0, 1)
@@ -382,7 +383,8 @@ def _verify_checks():
                 x = eta4(h).apply(APEX)
                 oracle = spinindex.nu_numeric_oracle(h * base * h.inverse(), x)
                 worst = max(worst, abs(exact - oracle))
-        assert worst < ORACLE_TOLERANCE, f"worst gap {worst!r}"
+        if not worst < ORACLE_TOLERANCE:
+            raise AssertionError(f"worst gap {worst!r}")
         return f"9 conjugated probes agree with exact values; worst gap {worst:.2e}"
 
     return [

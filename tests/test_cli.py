@@ -1,6 +1,7 @@
 """End-to-end exercises of the command-line front end: every subcommand in
 every output format, exit codes, deterministic output, and file emission."""
 
+import ast
 import csv
 import hashlib
 import io
@@ -423,7 +424,8 @@ def test_data_override_failure_exits_one(tmp_path, monkeypatch, capsys):
             assert "1×3+3×1" in err and "JSON integer" in err, err
 
 
-def test_verify_failures_say_what_they_saw(tmp_path, monkeypatch, capsys):
+def _seeded_spin_data(tmp_path):
+    """A copy of the bundled spin data with the spin of 1×5A+5B×1 off by one."""
     bundled = Path(davisspin.__file__).parent / "data" / "davis_table6.json"
     payload = json.loads(bundled.read_text(encoding="utf-8"))
     for record in payload["rows"]:
@@ -431,17 +433,49 @@ def test_verify_failures_say_what_they_saw(tmp_path, monkeypatch, capsys):
             record["spin"] = [record["spin"][0] + 1, record["spin"][1]]
     seeded = tmp_path / "table.json"
     seeded.write_text(json.dumps(payload), encoding="utf-8")
-    monkeypatch.setenv("SPININDEX_DATA", str(seeded))
+    return seeded
+
+
+_SEEDED_VERIFY_FAILURES = {
+    "index-decomposition": "DataInconsistencyError: non-integral multiplicity "
+                           "1/300 + -1/600*t of (1⊗2')⊕(2⊗1) in the index "
+                           "decomposition",
+    "spin-norm": "AssertionError: <spin, spin> = 397/200 + 1/30*t, "
+                 "expected 2/1 + 0/1*t"}
+
+
+def _failed_checks(report: str) -> dict[str, str]:
+    return {entry["check"]: entry["detail"] for entry in json.loads(report)
+            if entry["status"] == "fail"}
+
+
+def test_verify_failures_say_what_they_saw(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SPININDEX_DATA", str(_seeded_spin_data(tmp_path)))
     code, out, err = run_cli(capsys, "verify")
     assert code == 1 and err == ""
-    failed = {entry["check"]: entry["detail"] for entry in json.loads(out)
-              if entry["status"] == "fail"}
-    assert failed == {
-        "index-decomposition": "DataInconsistencyError: non-integral multiplicity "
-                               "1/300 + -1/600*t of (1⊗2')⊕(2⊗1) in the index "
-                               "decomposition",
-        "spin-norm": "AssertionError: <spin, spin> = 397/200 + 1/30*t, "
-                     "expected 2/1 + 0/1*t"}
+    assert _failed_checks(out) == _SEEDED_VERIFY_FAILURES
+
+
+def test_verify_fails_under_optimized_python(tmp_path):
+    """python -O strips assert statements; verify's checks must still fail,
+    with the same details, on wrong spin data."""
+    env = _checkout_env()
+    env["SPININDEX_DATA"] = str(_seeded_spin_data(tmp_path))
+    result = subprocess.run([sys.executable, "-O", "-m", "davisspin.cli", "verify"],
+                            capture_output=True, text=True, env=env, timeout=300)
+    assert result.returncode == 1 and result.stderr == "", result.stderr
+    assert _failed_checks(result.stdout) == _SEEDED_VERIFY_FAILURES
+
+
+def test_package_has_no_assert_statements():
+    """Checks in the package raise explicitly, so python -O cannot strip them."""
+    package = Path(davisspin.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def _checkout_env():
