@@ -250,7 +250,8 @@ class _SpinMatrix:
             raise InvalidElementError("matrix does not satisfy A* J A = J")
 
     def _with(self, a, b, c, d, scale_sq: GoldenNumber, member: bool | None):
-        """A matrix of this type with the given entries, not validated."""
+        """A matrix of this type with the given entries, not validated; member
+        is its known membership, or None to leave it to is_member()."""
         result = object.__new__(type(self))
         result._a, result._b, result._c, result._d = a, b, c, d
         result._scale_sq, result._member = scale_sq, member
@@ -290,7 +291,8 @@ class _SpinMatrix:
                           self._a * other._b + self._b * other._d,
                           self._c * other._a + self._d * other._c,
                           self._c * other._b + self._d * other._d,
-                          self._scale_sq * other._scale_sq, True)
+                          self._scale_sq * other._scale_sq,
+                          True if self._member and other._member else None)
 
     def __neg__(self):
         return self._with(-self._a, -self._b, -self._c, -self._d,
@@ -299,7 +301,7 @@ class _SpinMatrix:
     def inverse(self):
         return self._with(self._a.conjugate(), -self._c.conjugate(),
                           -self._b.conjugate(), self._d.conjugate(),
-                          self._scale_sq, self._member)
+                          self._scale_sq, True if self._member else None)
 
     def __pow__(self, exponent: int):
         one, zero = type(self._a)(1), type(self._a)()
@@ -520,15 +522,14 @@ def _eta4_rows(a, b, c, d):
     )
 
 
-def eta4(A: SpinMatrix4, validate_output: bool = True) -> LorentzMatrix5:
+def eta4(A: SpinMatrix4) -> LorentzMatrix5:
     """Image of A under the double cover onto the 4-dimensional hyperbolic
     isometries."""
     if not A.is_member():
         raise InvalidElementError("matrix does not satisfy A* J A = J")
     s = A.scale_sq
     rows = _eta4_rows(A.a.coords, A.b.coords, A.c.coords, A.d.coords)
-    return LorentzMatrix5(tuple(tuple(s * v for v in row) for row in rows),
-                          validate=validate_output)
+    return LorentzMatrix5(tuple(tuple(s * v for v in row) for row in rows))
 
 
 def _complex_slice(rows):
@@ -537,11 +538,11 @@ def _complex_slice(rows):
     return tuple(tuple(rows[i][j] for j in (0, 1, 4)) for i in (0, 1, 4))
 
 
-def eta2(A: SpinMatrix2, validate_output: bool = True) -> LorentzMatrix3:
+def eta2(A: SpinMatrix2) -> LorentzMatrix3:
     """Image of A under the double cover onto the 2-dimensional hyperbolic
     isometries: eta4 of A, restricted to the complex slice."""
     rows = _eta4_rows(*((z.re, z.im, 0, 0) for z in (A.a, A.b, A.c, A.d)))
-    return LorentzMatrix3(_complex_slice(rows), validate=validate_output)
+    return LorentzMatrix3(_complex_slice(rows))
 
 
 def verify_lift(A: SpinMatrix4 | SpinMatrix2,

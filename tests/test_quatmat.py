@@ -168,7 +168,7 @@ def test_eta4_kernel_is_plus_minus_identity():
             q = icosa.class_representative(q_label)
             if (p, q) in ((QUAT_ONE, QUAT_ONE), (-QUAT_ONE, -QUAT_ONE)):
                 continue
-            image = eta4(SpinMatrix4.diagonal(p, q), validate_output=False)
+            image = eta4(SpinMatrix4.diagonal(p, q))
             assert image != LorentzMatrix5.identity(), (p_label, q_label)
     mixed = SpinMatrix4.diagonal(QUAT_ONE, -QUAT_ONE)
     assert eta4(mixed) != LorentzMatrix5.identity()
@@ -178,6 +178,21 @@ def test_eta4_rejects_non_member():
     bad = SpinMatrix4.diagonal(Quaternion(2), QUAT_ONE, validate=False)
     with pytest.raises(InvalidElementError):
         eta4(bad)
+
+
+def test_products_of_non_members_are_not_marked_members():
+    """A product or inverse is known to be a member only when its operands
+    are; otherwise is_member() decides, so eta4 rejects the product up front."""
+    shear = SpinMatrix4(QUAT_ONE, QUAT_ONE, Quaternion(0), QUAT_ONE, validate=False)
+    identity = SpinMatrix4.diagonal(QUAT_ONE, QUAT_ONE)
+    assert not shear.is_member()
+    for product in (shear * identity, identity * shear, shear.inverse()):
+        assert not product.is_member()
+        with pytest.raises(InvalidElementError, match=r"A\* J A = J"):
+            eta4(product)
+    boost = golden_boost()
+    for product in (boost * identity, boost.inverse(), boost * boost.inverse()):
+        assert product._member is True
 
 
 def test_ball_and_hyperboloid_domains():
