@@ -10,6 +10,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 from .exactfield import (GoldenComplex, GoldenNumber, ONE,
                          KAPPA_RADICAND, QuadExtNumber, Scalar)
@@ -114,7 +115,11 @@ def nu_isolated_2d(phat: SpinMatrix2, x3: GoldenNumber | int | Fraction) -> Spin
                                    -(x3 * (imaginary + imaginary).inverse())))
 
 
-def _eigen_denominator(rows, isolation_tol: float):
+# A rotation angle whose eigenvalue lies this close to 1 counts as vanishing.
+ISOLATION_TOL = 1e-6
+
+
+def _eigen_denominator(rows):
     """Drop the eigenvalue of the float Lorentz matrix rows nearest 1 (the
     fixed direction); the product of |1 - lambda| over the rest, raising if
     another angle degenerates."""
@@ -123,7 +128,7 @@ def _eigen_denominator(rows, isolation_tol: float):
     eigenvalues = np.linalg.eigvals(np.array(rows))
     gaps = [abs(1 - value) for value in eigenvalues]
     keep = sorted(range(len(eigenvalues)), key=lambda i: gaps[i])[1:]
-    if any(gaps[i] < isolation_tol for i in keep):
+    if any(gaps[i] < ISOLATION_TOL for i in keep):
         raise NonIsolatedError("a rotation angle vanishes: fixed point not isolated")
     product = 1.0
     for i in keep:
@@ -149,8 +154,7 @@ def _apex_form(phat, x):
     return conjugated.a * half_lift, conjugated.d * half_lift
 
 
-def nu_numeric_oracle(phat: SpinMatrix4, x: HyperboloidPoint,
-                      isolation_tol: float = 1e-6) -> float:
+def nu_numeric_oracle(phat: SpinMatrix4, x: HyperboloidPoint) -> float:
     """Floating-point spin defect: conjugate phat exactly to the matrix that
     fixes the apex, then, in floats, read the half-spin trace difference and
     divide by the angular defect product from the Lorentz eigenvalues."""
@@ -159,11 +163,10 @@ def nu_numeric_oracle(phat: SpinMatrix4, x: HyperboloidPoint,
     top, bottom = (tuple(mu * c.real() for c in q.coords) for q in (top, bottom))
     zero = (0.0,) * 4
     rows = _eta4_rows(top, zero, zero, bottom)
-    return 2 * (top[0] - bottom[0]) / _eigen_denominator(rows, isolation_tol)
+    return 2 * (top[0] - bottom[0]) / _eigen_denominator(rows)
 
 
-def nu_numeric_oracle_2d(phat: SpinMatrix2, x,
-                         isolation_tol: float = 1e-6) -> complex:
+def nu_numeric_oracle_2d(phat: SpinMatrix2, x) -> complex:
     """Two-dimensional analogue; returns a purely imaginary complex number.
     The Lorentz eigenvalues are those of the dimension-4 image restricted
     to the complex slice."""
@@ -172,7 +175,7 @@ def nu_numeric_oracle_2d(phat: SpinMatrix2, x,
     top, bottom = ((z.re.real(), z.im.real(), 0.0, 0.0) for z in (top, bottom))
     zero = (0.0,) * 4
     rows = _complex_slice(_eta4_rows(top, zero, zero, bottom))
-    return numerator / _eigen_denominator(rows, isolation_tol)
+    return numerator / _eigen_denominator(rows)
 
 
 PROVENANCE_TAGS = ("computed-lemma82", "forced-zero-lemma71",
@@ -199,7 +202,7 @@ class DavisSpinRow:
 def _data_path():
     override = os.environ.get("SPININDEX_DATA")
     if override:
-        return override
+        return Path(override)
     return resources.files("davisspin").joinpath("data/davis_table6.json")
 
 
@@ -213,11 +216,7 @@ def davis_table() -> tuple[DavisSpinRow, ...]:
     """The recorded per-class fixed-point rows, in recorded order."""
     path = _data_path()
     try:
-        if hasattr(path, "read_text"):
-            payload = json.loads(path.read_text())
-        else:
-            with open(path, encoding="utf-8") as handle:
-                payload = json.load(handle)
+        payload = json.loads(path.read_text(encoding="utf-8"))
     except OSError as error:
         raise DataInconsistencyError(f"cannot read spin data: {error}") from error
     except json.JSONDecodeError as error:
