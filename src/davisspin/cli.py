@@ -257,13 +257,11 @@ def _verify_checks():
         return "120 unit icosians in 9 classes with recorded sizes"
 
     def icosa_character_orthogonality():
-        for r1 in icosa.REP_LABELS:
-            for r2 in icosa.REP_LABELS:
-                total = GoldenNumber(0)
-                for label in icosa.CLASS_LABELS:
-                    value = icosa.char_2I(r1, label) * icosa.char_2I(r2, label)
-                    total = total + value * GoldenNumber(icosa.CLASS_SIZES[label])
-                expect(total, GoldenNumber(120 if r1 == r2 else 0), "<{}, {}>", r1, r2)
+        sizes = [icosa.CLASS_SIZES[label] for label in icosa.CLASS_LABELS]
+        for r1, row1 in icosa.CHAR_TABLE.items():
+            for r2, row2 in icosa.CHAR_TABLE.items():
+                expect(icosa.golden_pairing(sizes, row1, row2),
+                       (120 if r1 == r2 else 0, 0), "<{}, {}>", r1, r2)
         return "all 81 row inner products exact"
 
     def icosa_alpha_automorphism():

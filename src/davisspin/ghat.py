@@ -137,6 +137,8 @@ def _coset_name(label: str) -> str:
 def normalize_class_name(name: str) -> str:
     """Canonical form of a class name, independent of the order in which a
     merged pair was written."""
+    if not isinstance(name, str):
+        raise KeyError(f"not a class name: {name!r}")
     text = name.strip()
     if text.startswith("[") and text.endswith("]"):
         inner = text[1:-1]

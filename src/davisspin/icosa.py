@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
+from operator import itemgetter
 
 from .exactfield import GoldenNumber, ONE, ZERO, TAU, power
 from .quatmat import Quaternion, QUAT_ONE
@@ -86,10 +87,28 @@ def enumerate_2I() -> tuple[Quaternion, ...]:
     return tuple(ordered)
 
 
-_HAMILTON = (((0, 0, 1), (1, 1, -1), (2, 2, -1), (3, 3, -1)),
-             ((0, 1, 1), (1, 0, 1), (2, 3, 1), (3, 2, -1)),
-             ((0, 2, 1), (1, 3, -1), (2, 0, 1), (3, 1, 1)),
-             ((0, 3, 1), (1, 2, 1), (2, 1, -1), (3, 0, 1)))
+def golden_pairing(weights, xs, ys) -> tuple[int, int]:
+    """Sum of w * x * y over the weights w and the elements x = a + b*tau,
+    y = c + d*tau of Z[tau], each given as the integer pair (a, b); tau^2 =
+    tau + 1. Every exact relation on integer pairs goes through this sum."""
+    total_a = total_b = 0
+    for w, (a, b), (c, d) in zip(weights, xs, ys):
+        bd = b * d
+        total_a += w * (a * c + bd)
+        total_b += w * (a * d + b * c + bd)
+    return (total_a, total_b)
+
+
+def golden_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """(a + b*tau)(c + d*tau) on integer pairs."""
+    return golden_pairing((1,), (x,), (y,))
+
+
+# coordinate k of x*y is the pairing of x with y reordered, under the signs
+# of row k of the Hamilton product
+_HAMILTON = tuple((signs, itemgetter(*order)) for signs, order in (
+    ((1, -1, -1, -1), (0, 1, 2, 3)), ((1, 1, 1, -1), (1, 0, 3, 2)),
+    ((1, -1, 1, 1), (2, 3, 0, 1)), ((1, 1, -1, 1), (3, 2, 1, 0))))
 
 
 def _doubled(value: GoldenNumber) -> tuple[int, int]:
@@ -102,28 +121,25 @@ def _doubled(value: GoldenNumber) -> tuple[int, int]:
 
 def _icosian_product(x: tuple, y: tuple) -> tuple:
     """Hamilton product of two icosians, each given as four doubled
-    coordinates (2a, 2b); tau^2 = tau + 1, and every halving must be exact."""
+    coordinates (2a, 2b); every halving must be exact."""
     coords = []
-    for terms in _HAMILTON:
-        a_part = b_part = 0
-        for i, j, sign in terms:
-            (a, b), (c, d) = x[i], y[j]
-            bd = b * d
-            a_part += sign * (a * c + bd)
-            b_part += sign * (a * d + b * c + bd)
-        if a_part & 1 or b_part & 1:
+    for signs, reorder in _HAMILTON:
+        a, b = golden_pairing(signs, x, reorder(y))
+        if a & 1 or b & 1:
             raise RuntimeError("icosian product left Z[tau]/2")
-        coords.append((a_part >> 1, b_part >> 1))
+        coords.append((a >> 1, b >> 1))
     return tuple(coords)
 
 
 @dataclass(frozen=True)
 class IcosianTables:
-    """2I on the indices of enumerate_2I(): the index of 1, the Cayley table,
-    inverse, negation, class label, the automorphism alpha and its inverse,
-    and a shortest word of each element in G1 (0) and G2 (1)."""
+    """2I on the indices of enumerate_2I(): the doubled integer coordinates
+    of each element, the index of 1, the Cayley table, inverse, negation,
+    class label, the automorphism alpha and its inverse, and a shortest word
+    of each element in G1 (0) and G2 (1)."""
 
     index: dict[Quaternion, int]
+    coords: tuple[tuple[tuple[int, int], ...], ...]
     one: int
     mul: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
@@ -148,7 +164,7 @@ def tables() -> IcosianTables:
     walk's path to g*a is the word of g followed by the word of a."""
     elements = enumerate_2I()
     index = {q: i for i, q in enumerate(elements)}
-    ints = [tuple(_doubled(c) for c in q.coords) for q in elements]
+    ints = tuple(tuple(_doubled(c) for c in q.coords) for q in elements)
     position = {x: i for i, x in enumerate(ints)}
     inv = tuple(position[(x[0], *((-a, -b) for a, b in x[1:]))] for x in ints)
     neg = tuple(position[tuple((-a, -b) for a, b in x)] for x in ints)
@@ -182,7 +198,7 @@ def tables() -> IcosianTables:
         raise RuntimeError("automorphism table is not a bijection of 2I")
     alpha_inv = {image: source for source, image in alpha.items()}
     return IcosianTables(
-        index=index, one=one, mul=tuple(rows[i] for i in range(120)), inv=inv,
+        index=index, coords=ints, one=one, mul=tuple(rows[i] for i in range(120)), inv=inv,
         neg=neg, label=label, alpha=tuple(alpha[i] for i in range(120)),
         alpha_inv=tuple(alpha_inv[i] for i in range(120)),
         words=tuple(words[i] for i in range(120)))

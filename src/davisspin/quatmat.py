@@ -541,6 +541,8 @@ def _complex_slice(rows):
 def eta2(A: SpinMatrix2) -> LorentzMatrix3:
     """Image of A under the double cover onto the 2-dimensional hyperbolic
     isometries: eta4 of A, restricted to the complex slice."""
+    if not A.is_member():
+        raise InvalidElementError("matrix does not satisfy A* J A = J")
     rows = _eta4_rows(*((z.re, z.im, 0, 0) for z in (A.a, A.b, A.c, A.d)))
     return LorentzMatrix3(_complex_slice(rows))
 

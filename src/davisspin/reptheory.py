@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from math import comb
 
 from .exactfield import GoldenComplex, GoldenNumber, ZERO
@@ -206,13 +207,6 @@ def _ghat_class_names() -> tuple[str, ...]:
     return tuple(cls.name for cls in ghat.conjugacy_classes())
 
 
-def _golden_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    """(a + b*tau)(c + d*tau) on integer pairs, with tau^2 = tau + 1."""
-    (a, b), (c, d) = x, y
-    bd = b * d
-    return (a * c + bd, a * d + b * c + bd)
-
-
 @lru_cache(maxsize=None)
 def _class_slots() -> tuple[tuple[int, ...], ...]:
     """The 2I class columns each class of the full group reads, from its
@@ -244,22 +238,16 @@ def _induced_row(l1: str, l2: str) -> tuple[tuple[int, int], ...]:
             row.append((0, 0))
             continue
         x, y = slots
-        a1, b1 = _golden_mul(chi1[x], chi2[y])
-        a2, b2 = _golden_mul(twist1[x], twist2[y])
-        row.append((a1 + a2, b1 + b2))
+        row.append(icosa.golden_pairing((1, 1), (chi1[x], twist1[x]),
+                                        (chi2[y], twist2[y])))
     return tuple(row)
 
 
 def _extended_row(l1: str, l2: str, sign: int) -> tuple[tuple[int, int], ...]:
     chi1, chi2 = icosa.CHAR_TABLE[l1], icosa.CHAR_TABLE[l2]
-    row = []
-    for slots in _class_slots():
-        if len(slots) == 2:
-            row.append(_golden_mul(chi1[slots[0]], chi2[slots[1]]))
-        else:
-            a, b = chi1[slots[0]]
-            row.append((sign * a, sign * b))
-    return tuple(row)
+    return tuple(icosa.golden_mul(chi1[slots[0]], chi2[slots[1]]) if len(slots) == 2
+                 else icosa.golden_mul((sign, 0), chi1[slots[0]])
+                 for slots in _class_slots())
 
 
 @lru_cache(maxsize=None)
@@ -300,24 +288,16 @@ def _integer_table() -> tuple[tuple[CharLabel, tuple[tuple[int, int], ...]], ...
     """Label and values a + b*tau, as integer pairs, of all 54 irreducible
     characters of the full group, in chartable order."""
     labels = icosa.REP_LABELS
-    seen: set[tuple[str, str]] = set()
+    star = [labels.index(REP_STAR[l]) for l in labels]
     rows = []
-    for l1 in labels:
-        for l2 in labels:
-            if (l1, l2) in seen:
-                continue
-            twist = (REP_STAR[l2], REP_STAR[l1])
-            if twist == (l1, l2):
-                continue
-            seen.add((l1, l2))
-            seen.add(twist)
-            pair = min((l1, l2), twist,
-                       key=lambda p: (labels.index(p[0]), labels.index(p[1])))
-            rows.append((CharLabel("induced", pair), _induced_row(*pair)))
-    for l in labels:
-        for sign in (1, -1):
-            rows.append((CharLabel("extended", (l, REP_STAR[l]), sign),
-                         _extended_row(l, REP_STAR[l], sign)))
+    for i, l1 in enumerate(labels):
+        for j, l2 in enumerate(labels):
+            twist = (star[j], star[i])
+            if twist == (i, j):
+                rows.extend((CharLabel("extended", (l1, l2), sign),
+                             _extended_row(l1, l2, sign)) for sign in (1, -1))
+            elif (i, j) < twist:
+                rows.append((CharLabel("induced", (l1, l2)), _induced_row(l1, l2)))
     identity = _ghat_class_names().index("1×1")
     rows.sort(key=lambda row: (row[1][identity][0], str(row[0])))
     return tuple(rows)
@@ -351,35 +331,21 @@ def decompose(values: tuple[GoldenNumber, ...]) -> tuple[GoldenNumber, ...]:
 
 
 def orthogonality_checks() -> dict[str, bool]:
-    """Exhaustive exact row and column orthogonality of the character table."""
-    table = [row for _, row in _integer_table()]
+    """Exhaustive exact row and column orthogonality of the character table:
+    the size-weighted pairing of rows i and j is |G| if i = j, else 0, and
+    the pairing of columns k and l is |G|/|k| if k = l, else 0."""
+    rows = [row for _, row in _integer_table()]
+    columns = list(zip(*rows))
     sizes = [cls.size for cls in ghat.conjugacy_classes()]
-    order = sum(sizes)
-    count = len(table)
-    rows_ok = True
-    for i in range(count):
-        for j in range(i, count):
-            total_a = total_b = 0
-            for k in range(count):
-                a1, b1 = table[i][k]
-                a2, b2 = table[j][k]
-                total_a += sizes[k] * (a1 * a2 + b1 * b2)
-                total_b += sizes[k] * (a1 * b2 + a2 * b1 + b1 * b2)
-            if total_a != (order if i == j else 0) or total_b != 0:
-                rows_ok = False
-    columns_ok = True
-    for k in range(count):
-        for l in range(k, count):
-            total_a = total_b = 0
-            for row in table:
-                a1, b1 = row[k]
-                a2, b2 = row[l]
-                total_a += a1 * a2 + b1 * b2
-                total_b += a1 * b2 + a2 * b1 + b1 * b2
-            want = order // sizes[k] if k == l else 0
-            if total_a != want or total_b != 0:
-                columns_ok = False
-    return {"rows": rows_ok, "columns": columns_ok}
+    order, count = sum(sizes), len(rows)
+    pairing = icosa.golden_pairing
+    return {
+        "rows": all(pairing(sizes, rows[i], rows[j]) == (order if i == j else 0, 0)
+                    for i in range(count) for j in range(i, count)),
+        "columns": all(pairing(repeat(1), columns[k], columns[l])
+                       == (order // sizes[k] if k == l else 0, 0)
+                       for k in range(count) for l in range(k, count)),
+    }
 
 
 def galois_permutation() -> tuple[int, ...]:

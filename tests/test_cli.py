@@ -415,13 +415,20 @@ def test_data_override_failure_exits_one(tmp_path, monkeypatch, capsys):
     non_integers = [with_field(field, value) for field, value in (
         ("ord", True), ("size", 2.9), ("size", "40"), ("fp_count", "2"),
         ("fp_count", 2.0), ("spin", [0, True]), ("spin", ["0", 0]))]
-    for text in ("{not json", "[]", '{"rows": 5}', *non_integers):
-        bad.write_text(text, encoding="utf-8")
+    non_strings = [with_field("name", 5), with_field("minus", None)]
+    for text in ("{not json", "[]", '{"rows": 5}', *non_integers, *non_strings,
+                 b"\xff\xfe{}"):
+        if isinstance(text, bytes):
+            bad.write_bytes(text)
+        else:
+            bad.write_text(text, encoding="utf-8")
         code, out, err = run_cli(capsys, "spin-davis")
         assert code == 1, text
         assert err.startswith("data inconsistency") and err.count("\n") == 1, err
         if text in non_integers:
             assert "1×3+3×1" in err and "JSON integer" in err, err
+        if text in non_strings:
+            assert "not a class name" in err, err
 
 
 def _seeded_spin_data(tmp_path):

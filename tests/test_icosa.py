@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+import hypothesis.strategies as st
 
 from davisspin.exactfield import GoldenNumber, TAU
 from davisspin.quatmat import Quaternion, QUAT_ONE
@@ -107,22 +109,39 @@ def test_composed_cayley_table_matches_icosian_products():
     against the exact quaternion product."""
     elements = icosa.enumerate_2I()
     tables = icosa.tables()
-    ints = [tuple(icosa._doubled(c) for c in q.coords) for q in elements]
-    position = {x: i for i, x in enumerate(ints)}
-    for a, x in enumerate(ints):
+    position = {x: i for i, x in enumerate(tables.coords)}
+    for a, x in enumerate(tables.coords):
         assert tables.mul[a] == tuple(position[icosa._icosian_product(x, y)]
-                                      for y in ints), a
+                                      for y in tables.coords), a
     rng = random.Random(5)
     for _ in range(200):
         a, b = rng.randrange(120), rng.randrange(120)
         assert elements[tables.mul[a][b]] == elements[a] * elements[b]
 
 
+golden_pair_st = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
+
+
+@given(terms=st.lists(st.tuples(st.integers(-30, 30), golden_pair_st, golden_pair_st),
+                      max_size=6))
+def test_golden_pairing_agrees_with_golden_numbers(terms):
+    """The integer-pair product and weighted pairing are GoldenNumber
+    arithmetic on (a, b) = a + b*tau."""
+    weights = [w for w, _, _ in terms]
+    xs = [x for _, x, _ in terms]
+    ys = [y for _, _, y in terms]
+    expected = sum((GoldenNumber(*x) * GoldenNumber(*y) * w for w, x, y in terms),
+                   start=GoldenNumber(0))
+    assert GoldenNumber(*icosa.golden_pairing(weights, xs, ys)) == expected
+    for x, y in zip(xs, ys):
+        assert GoldenNumber(*icosa.golden_mul(x, y)) == GoldenNumber(*x) * GoldenNumber(*y)
+
+
 def test_tables_reject_a_broken_generator_row(monkeypatch):
     """A product that is not the group law gives rows that do not reach all
     of 2I or are not permutations, and tables() raises."""
     product = icosa._icosian_product
-    one = tuple(icosa._doubled(c) for c in QUAT_ONE.coords)
+    one = icosa.tables().coords[icosa.tables().one]
 
     def doubled_at_one(x, y):
         return product(x, x if y == one else y)

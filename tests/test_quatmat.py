@@ -180,6 +180,12 @@ def test_eta4_rejects_non_member():
         eta4(bad)
 
 
+def test_eta2_rejects_non_member():
+    bad = SpinMatrix2(2, 0, validate=False)
+    with pytest.raises(InvalidElementError, match=r"A\* J A = J"):
+        eta2(bad)
+
+
 def test_products_of_non_members_are_not_marked_members():
     """A product or inverse is known to be a member only when its operands
     are; otherwise is_member() decides, so eta4 rejects the product up front."""

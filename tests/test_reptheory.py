@@ -214,6 +214,16 @@ def test_orthogonality_fast_paths():
     assert orthogonality_checks() == {"rows": True, "columns": True}
 
 
+def test_orthogonality_fails_on_one_altered_entry(monkeypatch):
+    """One entry off by one breaks its row's norm and its column's norm."""
+    rows = [list(row) for _, row in reptheory._integer_table()]
+    a, b = rows[17][30]
+    rows[17][30] = (a + 1, b)
+    monkeypatch.setattr(reptheory, "_integer_table",
+                        lambda: tuple((None, tuple(row)) for row in rows))
+    assert orthogonality_checks() == {"rows": False, "columns": False}
+
+
 def test_orthogonality_exact_spot_checks():
     chars = chartable_ghat()
     rng = random.Random(12)
