@@ -3,6 +3,7 @@ every output format, exit codes, deterministic output, and file emission."""
 
 import ast
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -384,11 +385,21 @@ def test_verify_report(capsys):
     code, out, err = run_cli(capsys, "verify")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "25240b78f64db1cd0eb9661db09623c5816b6a49fa2ac3faad716fd87fa1c52d")
+    # checking alpha on all pairs of integer coordinates changed only that
+    # check's detail; with the sampled check's detail put back, the report
+    # hashes as it did then
+    alpha_detail = ("alpha bijective, multiplicative on all 14400 pairs "
+                    "(10 also as quaternions), order 4")
+    assert out.count(alpha_detail) == 1
+    sampled = out.replace(alpha_detail,
+                          "alpha bijective, multiplicative on 800 sampled pairs, order 4")
+    assert hashlib.sha256(sampled.encode("utf-8")).hexdigest() == (
         "8077522f8f50b1a0ccf903cd6dab2b917b5da6875f2b1762c703f2bf9468b3d6")
     # the exact apex conjugation changed only the oracle's worst gap; with
     # the float-boost oracle's gap put back, the report hashes as it did then
-    assert out.count("worst gap 6.66e-15") == 1
-    before = out.replace("worst gap 6.66e-15", "worst gap 8.88e-15")
+    assert sampled.count("worst gap 6.66e-15") == 1
+    before = sampled.replace("worst gap 6.66e-15", "worst gap 8.88e-15")
     assert hashlib.sha256(before.encode("utf-8")).hexdigest() == (
         "e3f83fdc8f24586137360968b608b8e5f7c6c7d4c296746607302a417d820ec0")
     report = json.loads(out)
@@ -400,6 +411,25 @@ def test_verify_report(capsys):
         assert entry["detail"]
     assert "eta-homomorphism" in names
     assert "spin-two-fixed-points" in names
+
+
+def test_verify_reports_a_broken_alpha(monkeypatch, capsys):
+    """alpha with two entries swapped is still a bijection of 2I, but not
+    multiplicative, and verify reports its alpha check as failed."""
+    tables = icosa.tables()
+    alpha = list(tables.alpha)
+    assert tables.one not in (3, 4)
+    alpha[3], alpha[4] = alpha[4], alpha[3]
+    check = dict(cli._verify_checks())["icosa-alpha-automorphism"]
+    monkeypatch.setattr(icosa, "tables",
+                        lambda: dataclasses.replace(tables, alpha=tuple(alpha)))
+    monkeypatch.setattr(cli, "_verify_checks",
+                        lambda: [("icosa-alpha-automorphism", check)])
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 1
+    [entry] = json.loads(out)
+    assert entry["status"] == "fail", entry
+    assert entry["detail"].startswith("AssertionError: alpha of "), entry
 
 
 def test_data_override_failure_exits_one(tmp_path, monkeypatch, capsys):
