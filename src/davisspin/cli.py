@@ -274,8 +274,8 @@ def _verify_checks():
             for y in range(120):
                 expect(image.get(products[x][y]), products[alpha[x]][alpha[y]],
                        "alpha of {} times {}", elements[x], elements[y])
-        # 800 pairs are drawn, as before, so that later checks see the same
-        # random stream; the first 10 are also checked on exact quaternions
+        # 800 pairs are drawn so that the draws of the later checks, and so
+        # the report, stay fixed; the first 10 are checked on exact quaternions
         for pair in golden_random.sample(range(120 * 120), 800)[:10]:
             x, y = elements[pair // 120], elements[pair % 120]
             expect(icosa.alpha(x * y), icosa.alpha(x) * icosa.alpha(y),

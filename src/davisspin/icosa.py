@@ -198,8 +198,8 @@ def tables() -> IcosianTables:
         raise RuntimeError("automorphism table is not a bijection of 2I")
     alpha_inv = {image: source for source, image in alpha.items()}
     return IcosianTables(
-        index=index, coords=ints, one=one, mul=tuple(rows[i] for i in range(120)), inv=inv,
-        neg=neg, label=label, alpha=tuple(alpha[i] for i in range(120)),
+        index=index, coords=ints, one=one, mul=tuple(rows[i] for i in range(120)),
+        inv=inv, neg=neg, label=label, alpha=tuple(alpha[i] for i in range(120)),
         alpha_inv=tuple(alpha_inv[i] for i in range(120)),
         words=tuple(words[i] for i in range(120)))
 
