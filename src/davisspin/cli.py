@@ -179,7 +179,7 @@ def _cmd_spin_nu(args) -> int:
     try:
         phat_payload = json.loads(args.phat)
         x_payload = json.loads(args.x)
-    except json.JSONDecodeError as error:
+    except (ValueError, RecursionError) as error:
         sys.stderr.write(f"malformed JSON argument: {error}\n")
         return 2
     try:

@@ -4,7 +4,6 @@ real quadratic extensions Q(tau, sqrt(d))."""
 from __future__ import annotations
 
 import operator
-import re as _re
 from fractions import Fraction
 from math import isqrt
 from typing import Union
@@ -175,18 +174,6 @@ class GoldenNumber:
     def sign(self) -> int:
         return _sign_u_plus_v_sqrt5(2 * self._a + self._b, self._b)
 
-    def __lt__(self, other: GoldenNumber | RationalLike) -> bool:
-        return (self - GoldenNumber.coerce(other)).sign() < 0
-
-    def __le__(self, other: GoldenNumber | RationalLike) -> bool:
-        return (self - GoldenNumber.coerce(other)).sign() <= 0
-
-    def __gt__(self, other: GoldenNumber | RationalLike) -> bool:
-        return (self - GoldenNumber.coerce(other)).sign() > 0
-
-    def __ge__(self, other: GoldenNumber | RationalLike) -> bool:
-        return (self - GoldenNumber.coerce(other)).sign() >= 0
-
     def sqrt(self) -> GoldenNumber | None:
         if self.is_zero():
             return GoldenNumber(0, 0)
@@ -220,17 +207,6 @@ class GoldenNumber:
                 f" + {self._b.numerator}/{self._b.denominator}*t")
 
     __repr__ = __str__
-
-    _STRING_PATTERN = _re.compile(
-        r"^\s*(-?\d+)\s*/\s*(\d+)\s*\+\s*(-?\d+)\s*/\s*(\d+)\s*\*\s*t\s*$")
-
-    @classmethod
-    def from_string(cls, text: str) -> GoldenNumber:
-        match = cls._STRING_PATTERN.match(text)
-        if match is None:
-            raise ValueError(f"not a golden number string: {text!r}")
-        an, ad, bn, bd = (int(g) for g in match.groups())
-        return cls(Fraction(an, ad), Fraction(bn, bd))
 
     def to_json(self) -> dict:
         return {"a": [self._a.numerator, self._a.denominator],

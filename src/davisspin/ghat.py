@@ -1,6 +1,8 @@
 """The order-28800 group built from two commuting copies of the binary
 icosahedral group extended by a swap-twist involution, together with its 54
-conjugacy classes, the minus-pairing, and power maps."""
+conjugacy classes, the minus-pairing, and power maps. An element is the index
+triple (p, q, eps) into icosa.enumerate_2I(): eps = 0 acts as (p, q), eps = 1
+composes with the swap-twist involution."""
 
 from __future__ import annotations
 
@@ -10,7 +12,6 @@ from functools import lru_cache
 from math import lcm
 
 from .exactfield import power
-from .quatmat import Quaternion, QUAT_ONE
 from . import icosa
 
 
@@ -56,55 +57,6 @@ def triple_order(triple: Triple) -> int:
 def power_triple(triple: Triple, exponent: int) -> Triple:
     one = icosa.tables().one
     return power(triple, exponent % triple_order(triple), (one, one, 0), mul_triple)
-
-
-def _element(triple: Triple) -> GhatElement:
-    elements = icosa.enumerate_2I()
-    p, q, e = triple
-    return GhatElement(elements[p], elements[q], e)
-
-
-@dataclass(frozen=True)
-class GhatElement:
-    """Element (p, q, eps): eps = 0 acts as (p, q), eps = 1 composes with the
-    swap-twist involution. Its arithmetic runs on its index triple."""
-
-    p: Quaternion
-    q: Quaternion
-    eps: int
-
-    def __post_init__(self) -> None:
-        if self.eps not in (0, 1):
-            raise ValueError("eps must be 0 or 1")
-
-    @property
-    def triple(self) -> Triple:
-        """(index of p, index of q, eps) in icosa.enumerate_2I(); raises
-        MembershipError when p or q is not a unit icosian."""
-        return (icosa._index_of(self.p), icosa._index_of(self.q), self.eps)
-
-    def __mul__(self, other: GhatElement) -> GhatElement:
-        if not isinstance(other, GhatElement):
-            return NotImplemented
-        return _element(mul_triple(self.triple, other.triple))
-
-    def inverse(self) -> GhatElement:
-        return _element(inverse_triple(self.triple))
-
-    def __pow__(self, exponent: int) -> GhatElement:
-        return _element(power_triple(self.triple, exponent))
-
-    def order(self) -> int:
-        return triple_order(self.triple)
-
-    def __str__(self) -> str:
-        return f"({self.p}, {self.q}, {self.eps})"
-
-
-IDENTITY = GhatElement(QUAT_ONE, QUAT_ONE, 0)
-S_INVOLUTION = GhatElement(QUAT_ONE, QUAT_ONE, 1)
-SIGMA_STAR = GhatElement(QUAT_ONE, -QUAT_ONE, 1)
-MINUS_ONE = GhatElement(-QUAT_ONE, -QUAT_ONE, 0)
 
 
 _STAR_SWAP = {"5A": "5B", "5B": "5A", "10A": "10B", "10B": "10A"}
@@ -187,10 +139,6 @@ class GhatClass:
     size: int
     is_coset: bool
 
-    @property
-    def representative(self) -> GhatElement:
-        return _element(self.triple)
-
     def __str__(self) -> str:
         return f"{self.name} (order {self.order}, size {self.size})"
 
@@ -232,14 +180,6 @@ def _class_of_triple(triple: Triple) -> GhatClass:
     return _classes_by_name()[triple_class_name(triple)]
 
 
-def class_of_element(element: GhatElement) -> GhatClass:
-    return _class_of_triple(element.triple)
-
-
-def class_name(element: GhatElement) -> str:
-    return class_of_element(element).name
-
-
 def class_by_name(name: str) -> GhatClass:
     cls = _classes_by_name().get(normalize_class_name(name))
     if cls is None:
@@ -261,6 +201,3 @@ def power_map(cls: GhatClass, exponent: int) -> GhatClass:
 def group_order() -> int:
     return sum(cls.size for cls in conjugacy_classes())
 
-
-def center() -> tuple[GhatElement, ...]:
-    return tuple(cls.representative for cls in conjugacy_classes() if cls.size == 1)

@@ -1,6 +1,7 @@
 """The binary icosahedral group 2I as unit icosian quaternions: enumeration,
-conjugacy classes, exact character table, word decomposition over the two
-order-10 generators, and the distinguished outer automorphism."""
+conjugacy classes, exact character table, and the distinguished outer
+automorphism, with an integer core that does all group work on the indices
+of the 120 elements."""
 
 from __future__ import annotations
 
@@ -135,8 +136,7 @@ def _icosian_product(x: tuple, y: tuple) -> tuple:
 class IcosianTables:
     """2I on the indices of enumerate_2I(): the doubled integer coordinates
     of each element, the index of 1, the Cayley table, inverse, negation,
-    class label, the automorphism alpha and its inverse, and a shortest word
-    of each element in G1 (0) and G2 (1)."""
+    class label, and the automorphism alpha and its inverse."""
 
     index: dict[Quaternion, int]
     coords: tuple[tuple[tuple[int, int], ...], ...]
@@ -147,7 +147,6 @@ class IcosianTables:
     label: tuple[str, ...]
     alpha: tuple[int, ...]
     alpha_inv: tuple[int, ...]
-    words: tuple[tuple[int, ...], ...]
 
 
 def _compose(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
@@ -160,8 +159,7 @@ def tables() -> IcosianTables:
     """All group work on 2I, built from the doubled integer coordinates.
     Only the rows of the two generators are icosian products: row(g*a) is
     row(g) composed with row(a), because g*a*b = g*(a*b), and alpha(g*a) is
-    alpha(g)*alpha(a), both filled in by one breadth-first walk from 1; the
-    walk's path to g*a is the word of g followed by the word of a."""
+    alpha(g)*alpha(a), both filled in by one breadth-first walk from 1."""
     elements = enumerate_2I()
     index = {q: i for i, q in enumerate(elements)}
     ints = tuple(tuple(_doubled(c) for c in q.coords) for q in elements)
@@ -179,17 +177,15 @@ def tables() -> IcosianTables:
         steps.append((row, power(row, exponent, identity, _compose)))
     rows = {one: identity}
     alpha = {one: one}
-    words = {one: ()}
     frontier = [one]
     while frontier:
         next_frontier = []
         for current in frontier:
-            for generator, (row, image_row) in enumerate(steps):
+            for row, image_row in steps:
                 successor = row[current]
                 if successor not in rows:
                     rows[successor] = _compose(row, rows[current])
                     alpha[successor] = image_row[alpha[current]]
-                    words[successor] = (generator, *words[current])
                     next_frontier.append(successor)
         frontier = next_frontier
     if len(rows) != 120 or any(len(set(r)) != 120 for r in rows.values()):
@@ -200,8 +196,7 @@ def tables() -> IcosianTables:
     return IcosianTables(
         index=index, coords=ints, one=one, mul=tuple(rows[i] for i in range(120)),
         inv=inv, neg=neg, label=label, alpha=tuple(alpha[i] for i in range(120)),
-        alpha_inv=tuple(alpha_inv[i] for i in range(120)),
-        words=tuple(words[i] for i in range(120)))
+        alpha_inv=tuple(alpha_inv[i] for i in range(120)))
 
 
 def _index_of(q: Quaternion) -> int:
@@ -254,23 +249,6 @@ def char_2I(rep_label: str, class_label: str) -> GoldenNumber:
     return GoldenNumber(*CHAR_TABLE[rep_label][CLASS_LABELS.index(class_label)])
 
 
-def word_decompose(q: Quaternion) -> list[int]:
-    """Shortest list of generator indices (0 for G1, 1 for G2) whose
-    left-to-right product is q, as recorded by the walk in tables()."""
-    return list(tables().words[_index_of(q)])
-
-
-def evaluate_word(word: list[int]) -> Quaternion:
-    result = QUAT_ONE
-    for index in word:
-        result = result * (G1, G2)[index]
-    return result
-
-
 def alpha(q: Quaternion) -> Quaternion:
     """The outer automorphism of 2I determined by g1 -> g1^3, g2 -> g2^7."""
     return enumerate_2I()[tables().alpha[_index_of(q)]]
-
-
-def alpha_inverse(q: Quaternion) -> Quaternion:
-    return enumerate_2I()[tables().alpha_inv[_index_of(q)]]

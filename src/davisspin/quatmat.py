@@ -556,15 +556,6 @@ def verify_lift(A: SpinMatrix4 | SpinMatrix2,
     raise TypeError("mismatched matrix dimensions")
 
 
-def spin_matrix_relations(A: SpinMatrix4) -> bool:
-    """Check the derived relations |a| = |d|, |b| = |c|,
-    conj(b) a = conj(d) c and c conj(a) = d conj(b)."""
-    a, b, c, d = A.a, A.b, A.c, A.d
-    return (a.norm_sq() == d.norm_sq() and b.norm_sq() == c.norm_sq()
-            and b.conjugate() * a == d.conjugate() * c
-            and c * a.conjugate() == d * b.conjugate())
-
-
 def act_ball(A: SpinMatrix4, point: BallPoint | Quaternion) -> BallPoint:
     q = point.q if isinstance(point, BallPoint) else BallPoint(point).q
     numerator = A.a * q + A.b

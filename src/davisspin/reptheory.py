@@ -6,14 +6,13 @@ subgroup and extension of twist-invariant characters."""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from math import comb
 
 from .exactfield import GoldenComplex, GoldenNumber, ZERO
-from .quatmat import Quaternion, _mat_mul
+from .quatmat import Quaternion
 from . import ghat, icosa
 
 Matrix = tuple[tuple[GoldenComplex, ...], ...]
@@ -127,17 +126,6 @@ def rep_of_2I(label: str) -> MatrixRep:
     if label not in icosa.REP_LABELS:
         raise KeyError(f"unknown irreducible representation: {label}")
     return MatrixRep(label)
-
-
-def homcheck(rep: MatrixRep, pairs: int = 500, seed: int = 0) -> bool:
-    """Image map is multiplicative on random pairs of group elements."""
-    rng = random.Random(seed)
-    elements = icosa.enumerate_2I()
-    for _ in range(pairs):
-        x, y = rng.choice(elements), rng.choice(elements)
-        if rep.image(x * y) != _mat_mul(rep.image(x), rep.image(y)):
-            return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -219,7 +219,7 @@ def davis_table() -> tuple[DavisSpinRow, ...]:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except OSError as error:
         raise DataInconsistencyError(f"cannot read spin data: {error}") from error
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (ValueError, RecursionError) as error:
         raise DataInconsistencyError(f"malformed spin data: {error}") from error
     if not isinstance(payload, dict) or not isinstance(payload.get("rows"), list):
         raise DataInconsistencyError(

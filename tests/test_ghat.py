@@ -1,8 +1,10 @@
-"""Structure of the order-28,800 symmetry group: element arithmetic,
-conjugacy classes, minus-pairing, and power maps."""
+"""Structure of the order-28,800 symmetry group: arithmetic on index
+triples, conjugacy classes, minus-pairing, and power maps."""
 
+import ast
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -10,11 +12,33 @@ from davisspin.quatmat import QUAT_ONE
 from davisspin import ghat, icosa
 
 
-def random_element(rng: random.Random) -> ghat.GhatElement:
-    elements = icosa.enumerate_2I()
-    return ghat.GhatElement(elements[rng.randrange(120)],
-                            elements[rng.randrange(120)],
-                            rng.randrange(2))
+def random_triple(rng: random.Random) -> ghat.Triple:
+    return (rng.randrange(120), rng.randrange(120), rng.randrange(2))
+
+
+def _identity() -> ghat.Triple:
+    one = icosa.tables().one
+    return (one, one, 0)
+
+
+def _minus_one() -> ghat.Triple:
+    tables = icosa.tables()
+    minus = tables.neg[tables.one]
+    return (minus, minus, 0)
+
+
+def test_ghat_does_not_import_quatmat():
+    """An element of the group is its index triple, so the module never
+    reaches the Quaternion level."""
+    path = Path(ghat.__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [node.module or "", *(alias.name for alias in node.names)]
+    assert [name for name in imported if "quatmat" in name.split(".")] == []
 
 
 def test_group_order_and_class_count():
@@ -26,42 +50,50 @@ def test_group_order_and_class_count():
 
 
 def test_element_arithmetic_axioms():
+    mul, identity = ghat.mul_triple, _identity()
     rng = random.Random(6)
     for _ in range(200):
-        x, y, z = (random_element(rng) for _ in range(3))
-        assert (x * y) * z == x * (y * z)
-        assert x * ghat.IDENTITY == x
-        assert ghat.IDENTITY * x == x
-        assert x * x.inverse() == ghat.IDENTITY
-        assert x.inverse() * x == ghat.IDENTITY
+        x, y, z = (random_triple(rng) for _ in range(3))
+        assert mul(mul(x, y), z) == mul(x, mul(y, z))
+        assert mul(x, identity) == x
+        assert mul(identity, x) == x
+        assert mul(x, ghat.inverse_triple(x)) == identity
+        assert mul(ghat.inverse_triple(x), x) == identity
+        assert ghat.power_triple(x, 3) == mul(mul(x, x), x)
+        assert ghat.power_triple(x, -1) == ghat.inverse_triple(x)
 
 
 def test_twist_relation():
-    s = ghat.S_INVOLUTION
-    assert s * s == ghat.IDENTITY
+    tables = icosa.tables()
+    s = (tables.one, tables.one, 1)
+    assert ghat.mul_triple(s, s) == _identity()
     rng = random.Random(8)
-    elements = icosa.enumerate_2I()
     for _ in range(100):
-        p = elements[rng.randrange(120)]
-        q = elements[rng.randrange(120)]
-        pair = ghat.GhatElement(p, q, 0)
-        conjugated = s * pair * s
-        assert conjugated == ghat.GhatElement(icosa.alpha_inverse(q),
-                                              icosa.alpha(p), 0)
+        p, q = rng.randrange(120), rng.randrange(120)
+        assert ghat.mul_triple((p, q, 0), s) == (p, q, 1)
+        conjugated = ghat.mul_triple(ghat.mul_triple(s, (p, q, 0)), s)
+        assert conjugated == (tables.alpha_inv[q], tables.alpha[p], 0)
 
 
 def test_center():
-    central = ghat.center()
-    assert len(central) == 2
-    assert ghat.IDENTITY in central
-    assert ghat.MINUS_ONE in central
+    """The size-1 classes are the identity and -1, and both commute with the
+    five generators (g1, 1, 0), (g2, 1, 0), (1, g1, 0), (1, g2, 0), (1, 1, 1)."""
+    tables = icosa.tables()
+    one, g1, g2 = tables.one, tables.index[icosa.G1], tables.index[icosa.G2]
+    central = {cls.name: cls.triple for cls in ghat.conjugacy_classes()
+               if cls.size == 1}
+    assert central == {"1×1": _identity(), "2×2": _minus_one()}
+    for z in central.values():
+        for g in ((g1, one, 0), (g2, one, 0), (one, g1, 0), (one, g2, 0),
+                  (one, one, 1)):
+            assert ghat.mul_triple(z, g) == ghat.mul_triple(g, z)
 
 
 def test_identity_and_minus_one_classes():
-    identity_class = ghat.class_of_element(ghat.IDENTITY)
+    identity_class = ghat.class_by_name(ghat.triple_class_name(_identity()))
     assert identity_class.name == "1×1"
     assert identity_class.size == 1
-    minus_class = ghat.class_of_element(ghat.MINUS_ONE)
+    minus_class = ghat.class_by_name(ghat.triple_class_name(_minus_one()))
     assert minus_class.name == "2×2"
     assert minus_class.size == 1
     assert ghat.minus_class(identity_class) is minus_class
@@ -74,8 +106,9 @@ def test_coset_classes():
         f"[1×{label}]" for label in icosa.CLASS_LABELS}
     assert sum(cls.size for cls in cosets) == 14400
     hit = set()
-    for w in icosa.enumerate_2I():
-        cls = ghat.class_of_element(ghat.GhatElement(QUAT_ONE, w, 1))
+    one = icosa.tables().one
+    for w in range(120):
+        cls = ghat.class_by_name(ghat.triple_class_name((one, w, 1)))
         assert cls.is_coset
         hit.add(cls.name)
     assert hit == {cls.name for cls in cosets}
@@ -98,9 +131,10 @@ def test_subgroup_class_names_follow_merging():
 def test_class_membership_consistency():
     rng = random.Random(9)
     for _ in range(150):
-        x = random_element(rng)
-        h = random_element(rng)
-        assert ghat.class_name(h * x * h.inverse()) == ghat.class_name(x)
+        x = random_triple(rng)
+        h = random_triple(rng)
+        conjugate = ghat.mul_triple(ghat.mul_triple(h, x), ghat.inverse_triple(h))
+        assert ghat.triple_class_name(conjugate) == ghat.triple_class_name(x)
 
 
 def _all_triples():
@@ -110,7 +144,7 @@ def _all_triples():
 def test_class_sizes_divide_group_order():
     members = Counter(ghat.triple_class_name(triple) for triple in _all_triples())
     for cls in ghat.conjugacy_classes():
-        assert cls.representative.order() == cls.order
+        assert ghat.triple_order(cls.triple) == cls.order
         assert 28800 % cls.size == 0
         assert members[cls.name] == cls.size
 
@@ -194,13 +228,15 @@ def test_normalize_class_name():
 
 
 def test_spot_class_examples():
-    g1 = icosa.G1
-    assert ghat.class_name(ghat.GhatElement(g1, QUAT_ONE, 0)) == "1×10B+10A×1"
-    assert ghat.class_name(ghat.GhatElement(QUAT_ONE, g1, 0)) == "1×10A+10B×1"
-    assert ghat.S_INVOLUTION.order() == 2
-    assert ghat.class_name(ghat.S_INVOLUTION) == "[1×2]"
-    assert ghat.SIGMA_STAR.order() == 4
-    assert ghat.class_name(ghat.SIGMA_STAR) == "[1×1]"
+    tables = icosa.tables()
+    one, g1 = tables.one, tables.index[icosa.G1]
+    assert ghat.triple_class_name((g1, one, 0)) == "1×10B+10A×1"
+    assert ghat.triple_class_name((one, g1, 0)) == "1×10A+10B×1"
+    s, sigma_star = (one, one, 1), (one, tables.neg[one], 1)
+    assert ghat.triple_order(s) == 2
+    assert ghat.triple_class_name(s) == "[1×2]"
+    assert ghat.triple_order(sigma_star) == 4
+    assert ghat.triple_class_name(sigma_star) == "[1×1]"
     assert ghat.class_by_name("[1×2]").order == 2
     assert ghat.class_by_name("[1×1]").order == 4
 

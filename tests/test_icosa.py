@@ -178,7 +178,8 @@ def test_alpha_examples():
     assert icosa.alpha(-QUAT_ONE) == -QUAT_ONE
     assert icosa.alpha(icosa.G1) == icosa.G1 ** 3
     assert icosa.alpha(icosa.G2) == icosa.G2 ** 7
-    assert icosa.alpha_inverse(icosa.alpha(icosa.G2)) == icosa.G2
+    tables = icosa.tables()
+    assert [tables.alpha_inv[a] for a in tables.alpha] == list(range(120))
 
 
 def test_alpha_swaps_golden_classes():
@@ -198,29 +199,6 @@ def test_alpha_is_not_inner():
             pytest.fail("conjugation by a group element realizes the twist")
 
 
-def test_word_decomposition_roundtrip():
-    """Every element's word evaluates back to it and is as short as its
-    distance from 1 in a breadth-first walk on exact products."""
-    distance = {QUAT_ONE: 0}
-    frontier = [QUAT_ONE]
-    while frontier:
-        next_frontier = []
-        for current in frontier:
-            for generator in (icosa.G1, icosa.G2):
-                successor = current * generator
-                if successor not in distance:
-                    distance[successor] = distance[current] + 1
-                    next_frontier.append(successor)
-        frontier = next_frontier
-    for q in icosa.enumerate_2I():
-        word = icosa.word_decompose(q)
-        assert icosa.evaluate_word(word) == q
-        assert len(word) == distance[q], q
-    assert icosa.word_decompose(QUAT_ONE) == []
-    with pytest.raises(icosa.MembershipError):
-        icosa.word_decompose(Quaternion(0, 1, 1))
-
-
 def test_generators_have_expected_classes():
     assert icosa.class_of(icosa.G2) == "10A"
     assert icosa.class_of(icosa.G1 * icosa.G2) in icosa.CLASS_LABELS
@@ -233,4 +211,4 @@ def test_generators_have_expected_classes():
             if successor not in generated:
                 generated.add(successor)
                 frontier.append(successor)
-    assert len(generated) == 120
+    assert generated == set(icosa.enumerate_2I())

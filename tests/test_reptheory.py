@@ -9,10 +9,10 @@ from davisspin.exactfield import GoldenComplex, GoldenNumber, TAU
 from davisspin import ghat, icosa, reptheory
 from davisspin.reptheory import (NotExtendableError, character_of,
                                  chartable_ghat, decompose, extend_character,
-                                 galois_permutation, homcheck,
-                                 induce_character, inner_product,
-                                 orthogonality_checks, psi1, rep_image,
-                                 rep_of_2I, REP_STAR)
+                                 galois_permutation, induce_character,
+                                 inner_product, orthogonality_checks, psi1,
+                                 rep_image, rep_of_2I, REP_STAR)
+from davisspin.quatmat import _mat_mul
 from davisspin.spinindex import davis_spin_character
 
 SPINORIAL_DIMS = [4, 4, 8, 12, 12, 12, 12, 12, 16, 16, 20,
@@ -26,7 +26,7 @@ def test_psi1_embeds_the_quaternions():
     assert image[1][1] == GoldenComplex(0, -1)
     x = Quaternion(0, 0, 1, 0)
     y = Quaternion(0, 0, 0, 1)
-    assert reptheory._mat_mul(psi1(x), psi1(y)) == psi1(x * y)
+    assert _mat_mul(psi1(x), psi1(y)) == psi1(x * y)
 
 
 def test_full_table_reproduction():
@@ -46,9 +46,21 @@ def test_character_of_rejects_a_complex_trace(monkeypatch):
 
 
 def test_homomorphism_property_of_reps():
-    assert homcheck(rep_of_2I("2"), pairs=200, seed=1)
-    for label in icosa.REP_LABELS:
-        assert homcheck(rep_of_2I(label), pairs=40, seed=2), label
+    """Each irreducible's image map is multiplicative on seeded pairs (x, y)
+    of 2I, with the image of xy read at tables().mul[x][y]."""
+    elements, mul = icosa.enumerate_2I(), icosa.tables().mul
+    for label, pairs, seed in (("2", 200, 1), *((l, 40, 2) for l in icosa.REP_LABELS)):
+        images = {}
+
+        def image(i):
+            if i not in images:
+                images[i] = rep_image(label, elements[i])
+            return images[i]
+
+        rng = random.Random(seed)
+        for _ in range(pairs):
+            x, y = rng.randrange(120), rng.randrange(120)
+            assert image(mul[x][y]) == _mat_mul(image(x), image(y)), (label, x, y)
 
 
 def test_sym_power_and_tensor_examples():
@@ -91,11 +103,12 @@ def test_induced_character_examples():
 
 def test_induced_value_matches_subgroup_formula():
     induced = induce_character("2", "3")
+    elements = icosa.enumerate_2I()
     for cls in ghat.conjugacy_classes():
         if cls.is_coset:
             continue
-        rep = cls.representative
-        x, y = icosa.class_of(rep.p), icosa.class_of(rep.q)
+        p, q, _ = cls.triple
+        x, y = icosa.class_of(elements[p]), icosa.class_of(elements[q])
         expected = (icosa.char_2I("2", x) * icosa.char_2I("3", y)
                     + icosa.char_2I("3'", x) * icosa.char_2I("2'", y))
         assert induced.value_at(cls.name) == expected
@@ -147,20 +160,22 @@ def test_coset_value_is_a_class_function():
 
 def test_integer_chartable_matches_golden_reference():
     """All 54 x 54 entries, built on integer pairs from the class slots,
-    against the same formulas in GoldenNumber arithmetic read off the class
-    representatives: products of 2I characters at class_of(p) and
+    against the same formulas in GoldenNumber arithmetic read off each
+    class's triple (p, q, e): products of 2I characters at class_of(p) and
     class_of(q) on the subgroup, and sign * chi_l1 at the class of the
-    first slot of rep * rep on the coset (zero for an induced character)."""
+    first slot of the triple's square on the coset (zero for an induced
+    character)."""
     chars = chartable_ghat()
+    elements = icosa.enumerate_2I()
     integer_rows = reptheory._integer_table()
     assert [label for label, _ in integer_rows] == [char.label for char in chars]
     for char, (_, row) in zip(chars, integer_rows):
         kind, (l1, l2), sign = char.label.kind, char.label.pair, char.label.sign
         assert char.values == tuple(GoldenNumber(a, b) for a, b in row)
         for cls, value in zip(ghat.conjugacy_classes(), char.values):
-            rep = cls.representative
-            if rep.eps == 0:
-                x, y = icosa.class_of(rep.p), icosa.class_of(rep.q)
+            p, q, e = cls.triple
+            if e == 0:
+                x, y = icosa.class_of(elements[p]), icosa.class_of(elements[q])
                 expected = icosa.char_2I(l1, x) * icosa.char_2I(l2, y)
                 if kind == "induced":
                     expected = expected + (icosa.char_2I(REP_STAR[l2], x)
@@ -168,7 +183,8 @@ def test_integer_chartable_matches_golden_reference():
             elif kind == "induced":
                 expected = GoldenNumber(0)
             else:
-                expected = sign * icosa.char_2I(l1, icosa.class_of((rep * rep).p))
+                square = ghat.mul_triple(cls.triple, cls.triple)
+                expected = sign * icosa.char_2I(l1, icosa.class_of(elements[square[0]]))
             assert value == expected, (char.label.render(), cls.name)
 
 
