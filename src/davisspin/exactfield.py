@@ -1,5 +1,6 @@
-"""Exact arithmetic in Q(tau) (tau**2 = tau + 1), its complexification, and
-real quadratic extensions Q(tau, sqrt(d))."""
+"""Exact arithmetic in Q(tau) (tau**2 = tau + 1) and in its two quadratic
+extensions Q(tau, i) and Q(tau, kappa), kappa = sqrt(1 + 3*tau), which share
+one implementation."""
 
 from __future__ import annotations
 
@@ -9,10 +10,6 @@ from math import isqrt
 from typing import Union
 
 RationalLike = Union[int, Fraction]
-
-
-class TowerMismatchError(ValueError):
-    """Mixed arithmetic between quadratic extensions with different radicands."""
 
 
 def _fraction(value: RationalLike) -> Fraction:
@@ -151,8 +148,6 @@ class GoldenNumber:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             other = GoldenNumber(other, 0)
-        if isinstance(other, QuadExtNumber):
-            return NotImplemented
         if not isinstance(other, GoldenNumber):
             return NotImplemented
         return self._a == other._a and self._b == other._b
@@ -224,254 +219,201 @@ SQRT5 = GoldenNumber(-1, 2)
 KAPPA_RADICAND = GoldenNumber(1, 3)
 
 
-class GoldenComplex:
-    """Element re + im*i of Q(tau, i)."""
+class _QuadraticExtension:
+    """Element u + v*sqrt(r) of Q(tau, sqrt(r)), with the non-square radicand
+    r in Q(tau) fixed by the subclass as _RADICAND. Values of two different
+    extensions compare equal only when both lie in Q(tau), and arithmetic
+    between them raises TypeError."""
 
-    __slots__ = ("_re", "_im")
+    __slots__ = ("_u", "_v")
+
+    _RADICAND: GoldenNumber | int
 
     def __init__(self,
-                 re: GoldenNumber | RationalLike = 0,
-                 im: GoldenNumber | RationalLike = 0) -> None:
-        self._re = GoldenNumber.coerce(re)
-        self._im = GoldenNumber.coerce(im)
-
-    @property
-    def re(self) -> GoldenNumber:
-        return self._re
-
-    @property
-    def im(self) -> GoldenNumber:
-        return self._im
+                 u: GoldenNumber | RationalLike = 0,
+                 v: GoldenNumber | RationalLike = 0) -> None:
+        self._u = GoldenNumber.coerce(u)
+        self._v = GoldenNumber.coerce(v)
 
     @classmethod
-    def coerce(cls, value: GoldenComplex | GoldenNumber | RationalLike) -> GoldenComplex:
-        if isinstance(value, GoldenComplex):
+    def coerce(cls, value):
+        if isinstance(value, cls):
             return value
         return cls(GoldenNumber.coerce(value), 0)
 
-    def __add__(self, other: GoldenComplex | GoldenNumber | RationalLike) -> GoldenComplex:
-        if isinstance(other, (int, Fraction, GoldenNumber)):
-            other = GoldenComplex(other, 0)
-        if not isinstance(other, GoldenComplex):
+    def _lift(self, value):
+        """value in this extension, or None if it is not a value of it or of
+        Q(tau)."""
+        if type(value) is type(self):
+            return value
+        if isinstance(value, (int, Fraction, GoldenNumber)):
+            return type(self)(value, 0)
+        return None
+
+    def __add__(self, other):
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
-        return GoldenComplex(self._re + other._re, self._im + other._im)
+        return type(self)(self._u + other._u, self._v + other._v)
 
     __radd__ = __add__
 
-    def __neg__(self) -> GoldenComplex:
-        return GoldenComplex(-self._re, -self._im)
+    def __neg__(self):
+        return type(self)(-self._u, -self._v)
 
-    def __sub__(self, other: GoldenComplex | GoldenNumber | RationalLike) -> GoldenComplex:
-        return self + (-GoldenComplex.coerce(other))
-
-    def __rsub__(self, other: GoldenNumber | RationalLike) -> GoldenComplex:
-        return GoldenComplex.coerce(other) - self
-
-    def __mul__(self, other: GoldenComplex | GoldenNumber | RationalLike) -> GoldenComplex:
-        if isinstance(other, (int, Fraction, GoldenNumber)):
-            other = GoldenComplex(other, 0)
-        if not isinstance(other, GoldenComplex):
+    def __sub__(self, other):
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
-        return GoldenComplex(self._re * other._re - self._im * other._im,
-                             self._re * other._im + self._im * other._re)
+        return type(self)(self._u - other._u, self._v - other._v)
+
+    def __rsub__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
+    def __mul__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return type(self)(self._u * other._u + self._v * other._v * self._RADICAND,
+                          self._u * other._v + self._v * other._u)
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> GoldenComplex:
-        return GoldenComplex(self._re, -self._im)
+    def conjugate(self):
+        return type(self)(self._u, -self._v)
 
     def norm(self) -> GoldenNumber:
-        return self._re * self._re + self._im * self._im
+        return self._u * self._u - self._v * self._v * self._RADICAND
 
-    def inverse(self) -> GoldenComplex:
+    def inverse(self):
         norm = self.norm()
         if norm.is_zero():
-            raise ZeroDivisionError("golden complex number has no inverse: it is zero")
+            raise ZeroDivisionError("quadratic extension number has no inverse: it is zero")
         inv = norm.inverse()
-        return GoldenComplex(self._re * inv, -self._im * inv)
+        return type(self)(self._u * inv, -self._v * inv)
 
-    def __truediv__(self, other: GoldenComplex | GoldenNumber | RationalLike) -> GoldenComplex:
-        return self * GoldenComplex.coerce(other).inverse()
+    def __truediv__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return self * other.inverse()
 
-    def __rtruediv__(self, other: GoldenNumber | RationalLike) -> GoldenComplex:
-        return GoldenComplex.coerce(other) * self.inverse()
+    def __rtruediv__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return other * self.inverse()
 
-    def __pow__(self, exponent: int) -> GoldenComplex:
-        return power(self, exponent, GoldenComplex(1, 0))
+    def __pow__(self, exponent: int):
+        return power(self, exponent, type(self)(1))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction, GoldenNumber)):
-            other = GoldenComplex(other, 0)
-        if not isinstance(other, GoldenComplex):
+            return self._v.is_zero() and self._u == other
+        if not isinstance(other, _QuadraticExtension):
             return NotImplemented
-        return self._re == other._re and self._im == other._im
+        if type(other) is not type(self) and not self._v.is_zero():
+            return False
+        return self._u == other._u and self._v == other._v
 
     def __hash__(self) -> int:
-        if self._im.is_zero():
-            return hash(self._re)
-        return hash((self._re, self._im))
+        if self._v.is_zero():
+            return hash(self._u)
+        return hash((self._u, self._v))
 
     def is_zero(self) -> bool:
-        return self._re.is_zero() and self._im.is_zero()
+        return self._u.is_zero() and self._v.is_zero()
+
+
+class GoldenComplex(_QuadraticExtension):
+    """Element re + im*i of Q(tau, i), i**2 = -1."""
+
+    __slots__ = ()
+
+    _RADICAND = -1
+
+    @property
+    def re(self) -> GoldenNumber:
+        return self._u
+
+    @property
+    def im(self) -> GoldenNumber:
+        return self._v
 
     def galois(self) -> GoldenComplex:
-        return GoldenComplex(self._re.galois(), self._im.galois())
+        return GoldenComplex(self._u.galois(), self._v.galois())
 
     def real(self) -> complex:
-        return complex(self._re.real(), self._im.real())
+        return complex(self._u.real(), self._v.real())
 
     def __str__(self) -> str:
-        if self._im.is_zero():
-            return str(self._re)
-        return f"{self._re} + ({self._im})*i"
+        if self._v.is_zero():
+            return str(self._u)
+        return f"{self._u} + ({self._v})*i"
 
     __repr__ = __str__
 
     def to_json(self) -> dict:
-        return {"re": self._re.to_json(), "im": self._im.to_json()}
+        return {"re": self._u.to_json(), "im": self._v.to_json()}
 
     @classmethod
     def from_json(cls, obj: dict) -> GoldenComplex:
         return cls(GoldenNumber.from_json(obj["re"]), GoldenNumber.from_json(obj["im"]))
 
 
-class QuadExtNumber:
-    """Element base + ext*kappa of Q(tau, kappa), kappa**2 = radicand in Q(tau)."""
+class QuadExtNumber(_QuadraticExtension):
+    """Element base + ext*kappa of Q(tau, kappa), kappa**2 = KAPPA_RADICAND =
+    1 + 3*tau."""
 
-    __slots__ = ("_base", "_ext", "_radicand")
+    __slots__ = ()
 
-    def __init__(self,
-                 base: GoldenNumber | RationalLike,
-                 ext: GoldenNumber | RationalLike,
-                 radicand: GoldenNumber | RationalLike) -> None:
-        self._base = GoldenNumber.coerce(base)
-        self._ext = GoldenNumber.coerce(ext)
-        self._radicand = GoldenNumber.coerce(radicand)
+    _RADICAND = KAPPA_RADICAND
 
     @property
     def base(self) -> GoldenNumber:
-        return self._base
+        return self._u
 
     @property
     def ext(self) -> GoldenNumber:
-        return self._ext
-
-    @property
-    def radicand(self) -> GoldenNumber:
-        return self._radicand
-
-    def _lift(self, value: QuadExtNumber | GoldenNumber | RationalLike) -> QuadExtNumber:
-        if isinstance(value, QuadExtNumber):
-            if value._radicand == self._radicand:
-                return value
-            # a purely-base value belongs to every tower
-            if value._ext.is_zero():
-                return QuadExtNumber(value._base, 0, self._radicand)
-            if self._ext.is_zero():
-                return value
-            raise TowerMismatchError(
-                f"mixed radicands {self._radicand} and {value._radicand}")
-        return QuadExtNumber(GoldenNumber.coerce(value), ZERO, self._radicand)
-
-    def __add__(self, other: QuadExtNumber | GoldenNumber | RationalLike) -> QuadExtNumber:
-        if not isinstance(other, (QuadExtNumber, GoldenNumber, int, Fraction)):
-            return NotImplemented
-        other = self._lift(other)
-        radicand = self._radicand if not self._ext.is_zero() else other._radicand
-        return QuadExtNumber(self._base + other._base, self._ext + other._ext, radicand)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> QuadExtNumber:
-        return QuadExtNumber(-self._base, -self._ext, self._radicand)
-
-    def __sub__(self, other: QuadExtNumber | GoldenNumber | RationalLike) -> QuadExtNumber:
-        if not isinstance(other, (QuadExtNumber, GoldenNumber, int, Fraction)):
-            return NotImplemented
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other: GoldenNumber | RationalLike) -> QuadExtNumber:
-        return self._lift(other) - self
-
-    def __mul__(self, other: QuadExtNumber | GoldenNumber | RationalLike) -> QuadExtNumber:
-        if not isinstance(other, (QuadExtNumber, GoldenNumber, int, Fraction)):
-            return NotImplemented
-        other = self._lift(other)
-        radicand = self._radicand if not self._ext.is_zero() else other._radicand
-        return QuadExtNumber(
-            self._base * other._base + self._ext * other._ext * radicand,
-            self._base * other._ext + self._ext * other._base,
-            radicand)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> QuadExtNumber:
-        norm = self._base * self._base - self._ext * self._ext * self._radicand
-        if norm.is_zero():
-            raise ZeroDivisionError("quadratic extension number has no inverse: it is zero")
-        inv = norm.inverse()
-        return QuadExtNumber(self._base * inv, -self._ext * inv, self._radicand)
-
-    def __truediv__(self, other: QuadExtNumber | GoldenNumber | RationalLike) -> QuadExtNumber:
-        if not isinstance(other, (QuadExtNumber, GoldenNumber, int, Fraction)):
-            return NotImplemented
-        return self * self._lift(other).inverse()
-
-    def __rtruediv__(self, other: GoldenNumber | RationalLike) -> QuadExtNumber:
-        return self._lift(other) * self.inverse()
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction, GoldenNumber, GoldenComplex)):
-            # a value with no imaginary or kappa part compares as its GoldenNumber
-            return self._ext.is_zero() and other == self._base
-        if not isinstance(other, QuadExtNumber):
-            return NotImplemented
-        if self._ext.is_zero() and other._ext.is_zero():
-            return self._base == other._base
-        return (self._base == other._base and self._ext == other._ext
-                and self._radicand == other._radicand)
-
-    def __hash__(self) -> int:
-        if self._ext.is_zero():
-            return hash(self._base)
-        return hash((self._base, self._ext, self._radicand))
-
-    def is_zero(self) -> bool:
-        return self._base.is_zero() and self._ext.is_zero()
+        return self._v
 
     def real(self) -> float:
-        return self._base.real() + self._ext.real() * self._radicand.real() ** 0.5
+        return self._u.real() + self._v.real() * KAPPA_RADICAND.real() ** 0.5
 
     def sign(self) -> int:
-        base_sign, ext_sign = self._base.sign(), self._ext.sign()
+        base_sign, ext_sign = self._u.sign(), self._v.sign()
         if ext_sign == 0:
             return base_sign
         if base_sign == 0:
             return ext_sign
         if base_sign == ext_sign:
             return base_sign
-        diff = self._base * self._base - self._ext * self._ext * self._radicand
-        return base_sign * diff.sign()
+        return base_sign * self.norm().sign()
 
     def golden_part(self) -> GoldenNumber:
-        if not self._ext.is_zero():
+        if not self._v.is_zero():
             raise ValueError("value does not lie in the golden base field")
-        return self._base
+        return self._u
 
     def __str__(self) -> str:
-        return f"{self._base} + ({self._ext})*k  [k^2 = {self._radicand}]"
+        return f"{self._u} + ({self._v})*k  [k^2 = {KAPPA_RADICAND}]"
 
     __repr__ = __str__
 
     def to_json(self) -> dict:
-        return {"base": self._base.to_json(), "ext": self._ext.to_json(),
-                "radicand": self._radicand.to_json()}
+        return {"base": self._u.to_json(), "ext": self._v.to_json(),
+                "radicand": KAPPA_RADICAND.to_json()}
 
     @classmethod
     def from_json(cls, obj: dict) -> QuadExtNumber:
-        return cls(GoldenNumber.from_json(obj["base"]),
-                   GoldenNumber.from_json(obj["ext"]),
-                   GoldenNumber.from_json(obj["radicand"]))
+        base, ext = GoldenNumber.from_json(obj["base"]), GoldenNumber.from_json(obj["ext"])
+        radicand = GoldenNumber.from_json(obj["radicand"])
+        if radicand != KAPPA_RADICAND:
+            raise ValueError(f"kappa radicand must be {KAPPA_RADICAND}, got {radicand}")
+        return cls(base, ext)
 
 
 Scalar = Union[GoldenNumber, QuadExtNumber]

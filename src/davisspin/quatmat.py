@@ -280,8 +280,8 @@ class _SpinMatrix:
             norm_first = (a.conjugate() * a - c.conjugate() * c).re
             norm_second = (b.conjugate() * b - d.conjugate() * d).re
             cross = a.conjugate() * b - c.conjugate() * d
-            self._member = (s * norm_first == ONE and s * norm_second == -ONE
-                            and cross.is_zero())
+            self._member = (s.sign() > 0 and s * norm_first == ONE
+                            and s * norm_second == -ONE and cross.is_zero())
         return self._member
 
     def __mul__(self, other):

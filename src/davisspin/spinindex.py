@@ -12,8 +12,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .exactfield import (GoldenComplex, GoldenNumber, ONE,
-                         KAPPA_RADICAND, QuadExtNumber, Scalar)
+from .exactfield import GoldenComplex, GoldenNumber, ONE, QuadExtNumber, Scalar
 from .quatmat import (HyperboloidPoint, LorentzMatrix5, Quaternion, SpinMatrix2,
                       SpinMatrix4, _complex_slice, _eta4_rows, eta4)
 from . import ghat, icosa, reptheory
@@ -106,11 +105,16 @@ def nu_diag_2d(u: GoldenComplex) -> SpinValue:
 
 
 def nu_isolated_2d(phat: SpinMatrix2, x3: GoldenNumber | int | Fraction) -> SpinValue:
-    """Spin defect x3 / (2 Im(Phat11) i) at an isolated fixed point."""
+    """Spin defect x3 / (2 Im(Phat11) i) at an isolated fixed point of height
+    x3. A boost to height x3 conjugates diag(u, conj u), |u| = 1, to a matrix
+    with Re(Phat11) = Re u and Im(Phat11) = x3 Im u, so the point is fixed
+    only if x3 > 0 and x3^2 (1 - Re(Phat11)^2) = Im(Phat11)^2."""
     x3 = GoldenNumber.coerce(x3)
-    imaginary = phat.a.im
+    real, imaginary = phat.a.re, phat.a.im
     if imaginary.is_zero():
         raise NonIsolatedError("real upper-left entry: fixed point not isolated")
+    if x3.sign() <= 0 or x3 * x3 * (1 - real * real) != imaginary * imaginary:
+        raise InconsistentInputError("the point is not fixed by the isometry")
     return SpinValue(GoldenComplex(GoldenNumber(0),
                                    -(x3 * (imaginary + imaginary).inverse())))
 
@@ -387,8 +391,7 @@ def decompose_davis_index() -> IndexDecomposition:
 
 
 def _kappa_poly(base_a=0, base_b=0, ext_a=0, ext_b=0) -> QuadExtNumber:
-    return QuadExtNumber(GoldenNumber(base_a, base_b),
-                         GoldenNumber(ext_a, ext_b), KAPPA_RADICAND)
+    return QuadExtNumber(GoldenNumber(base_a, base_b), GoldenNumber(ext_a, ext_b))
 
 
 def davis_sigma_data() -> tuple[LorentzMatrix5, SpinMatrix4]:

@@ -20,7 +20,7 @@ import hypothesis.strategies as st
 
 import davisspin
 from davisspin import cli, ghat, icosa, spinindex
-from davisspin.exactfield import GoldenComplex, GoldenNumber, TAU
+from davisspin.exactfield import GoldenComplex, GoldenNumber, QuadExtNumber, TAU
 from davisspin.quatmat import APEX, Quaternion, SpinMatrix2, SpinMatrix4, eta4
 
 
@@ -228,6 +228,27 @@ def test_spin_nu_json(capsys):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (dim, out)
 
 
+def test_spin_nu_kappa_coordinates(capsys):
+    """diag(5A, 10B) conjugated by the Davis sigma-hat, whose entries and
+    fixed point sigma . apex lie in Q(tau, kappa); every coordinate of the
+    point is sent in kappa form."""
+    _, sigma_hat = spinindex.davis_sigma_data()
+    phat = sigma_hat * SpinMatrix4.diagonal(icosa.class_representative("5A"),
+                                            icosa.class_representative("10B")) \
+        * sigma_hat.inverse()
+    entries = {key: [part.to_json() for part in getattr(phat, key).coords]
+               for key in "abcd"}
+    entries["scale_sq"] = phat.scale_sq.to_json()
+    point = [QuadExtNumber.coerce(part).to_json()
+             for part in eta4(sigma_hat).apply(APEX).coords]
+    code, out, err = run_cli(capsys, "spin-nu", "--format", "json",
+                             "--phat", json.dumps(entries), "--x", json.dumps(point))
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["nu"] == "0/1 + 1/2*t"
+    assert float(payload["agreement"]) < 1e-9
+
+
 def test_spin_nu_oracle_agrees_at_every_boost_height(capsys):
     for dim, payload in (("4", far_fixed_point_payload),
                          ("2", far_fixed_point_payload_2d)):
@@ -300,7 +321,10 @@ def test_spin_nu_malformed_json_exits_two(capsys):
 def test_spin_nu_incomplete_payload_exits_two(capsys):
     bad_scalars = ({"a": [1, 0], "b": [0, 1]}, {"a": [True, 1], "b": [0, 1]},
                    {"a": [1.5, 1], "b": [0, 1]}, {"a": ["1", 1], "b": [0, 1]},
-                   {"a": [], "b": [0, 1]})
+                   {"a": [], "b": [0, 1]},
+                   # a kappa-form scalar over a radicand other than 1 + 3 tau
+                   {"base": golden_json(1), "ext": golden_json(0),
+                    "radicand": golden_json(2)})
     for phat in (json.dumps({"a": quaternion_json(1)}),
                  *(json.dumps({"a": [bad, *quaternion_json(0)[1:]],
                                "b": quaternion_json(0), "c": quaternion_json(0),

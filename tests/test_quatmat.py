@@ -9,7 +9,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from davisspin.exactfield import (GoldenNumber, GoldenComplex, QuadExtNumber,
-                                  KAPPA_RADICAND, ZERO, ONE, TAU, SQRT5)
+                                  ZERO, ONE, TAU, SQRT5)
 from davisspin.quatmat import (Quaternion, QUAT_ONE, SpinMatrix4, SpinMatrix2,
                                LorentzMatrix5, LorentzMatrix3, BallPoint,
                                BallPoint2, HyperboloidPoint, HyperboloidPoint2,
@@ -25,7 +25,7 @@ golden_st = st.builds(GoldenNumber, fractions_st, fractions_st)
 quaternion_st = st.builds(Quaternion, golden_st, golden_st, golden_st, golden_st)
 nonzero_quaternion_st = quaternion_st.filter(lambda q: not q.is_zero())
 
-KAPPA = QuadExtNumber(0, 1, KAPPA_RADICAND)
+KAPPA = QuadExtNumber(0, 1)
 
 
 def golden_boost() -> SpinMatrix4:
@@ -101,6 +101,9 @@ def test_spinmatrix4_membership_enforced():
         SpinMatrix4(QUAT_ONE, QUAT_ONE, Quaternion(0), QUAT_ONE)
     with pytest.raises(InvalidElementError):
         SpinMatrix4.diagonal(Quaternion(0, 0, 1, 1), QUAT_ONE)
+    # A* J A = J holds up to the factor -1, but mu^2 = -1 has no positive mu
+    with pytest.raises(InvalidElementError):
+        SpinMatrix4(Quaternion(0), QUAT_ONE, QUAT_ONE, Quaternion(0), scale_sq=-1)
 
 
 def test_spinmatrix4_group_operations():

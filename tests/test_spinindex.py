@@ -9,8 +9,8 @@ import pytest
 
 from davisspin.exactfield import GoldenComplex, GoldenNumber, TAU, SQRT5
 from davisspin.quatmat import (APEX, APEX2, Quaternion, QUAT_ONE, SpinMatrix2,
-                               SpinMatrix4, LorentzMatrix5, act_ball2, eta4,
-                               verify_lift, zeta2)
+                               SpinMatrix4, LorentzMatrix5, act_ball2, eta2,
+                               eta4, verify_lift, zeta2)
 from davisspin import ghat, icosa, reptheory, spinindex
 from davisspin.spinindex import (DataInconsistencyError, InconsistentInputError,
                                  IsolatedFixedPoint4, NonIsolatedError,
@@ -105,8 +105,18 @@ def test_nu_diag_2d_examples():
 def test_nu_isolated_2d_matches_diagonal_case():
     u = GoldenComplex(Fraction(3, 5), Fraction(4, 5))
     assert nu_isolated_2d(SpinMatrix2.diagonal(u), 1).value == nu_diag_2d(u).value
-    assert nu_isolated_2d(SpinMatrix2.diagonal(u), GoldenNumber(2)).value == \
-        GoldenComplex(GoldenNumber(0), GoldenNumber(-Fraction(5, 4)))
+    # the boost [[sqrt5/2, 1/2], [1/2, sqrt5/2]] carries the apex to height 3/2
+    half = Fraction(1, 2)
+    boost = SpinMatrix2(GoldenComplex(SQRT5 * half), GoldenComplex(half))
+    assert eta2(boost).apply(APEX2)[2] == Fraction(3, 2)
+    moved = boost * SpinMatrix2.diagonal(u) * boost.inverse()
+    assert nu_isolated_2d(moved, Fraction(3, 2)).value == nu_diag_2d(u).value
+    # diag(u) fixes only the apex, and the moved matrix only height 3/2
+    for matrix, x3 in ((SpinMatrix2.diagonal(u), GoldenNumber(2)),
+                       (SpinMatrix2.diagonal(u), 7), (SpinMatrix2.diagonal(u), 0),
+                       (SpinMatrix2.diagonal(u), -3), (moved, 1)):
+        with pytest.raises(InconsistentInputError):
+            nu_isolated_2d(matrix, x3)
     with pytest.raises(NonIsolatedError):
         nu_isolated_2d(SpinMatrix2.diagonal(GoldenComplex(1, 0)), 1)
 
