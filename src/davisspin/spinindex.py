@@ -12,9 +12,9 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .exactfield import GoldenComplex, GoldenNumber, ONE, QuadExtNumber, Scalar
+from .exactfield import GoldenComplex, GoldenNumber, ONE, QuadExtNumber
 from .quatmat import (HyperboloidPoint, LorentzMatrix5, Quaternion, SpinMatrix2,
-                      SpinMatrix4, _complex_slice, _eta4_rows, eta4)
+                      SpinMatrix4, _complex_slice, _eta4_rows)
 from . import ghat, icosa, reptheory
 
 
@@ -65,32 +65,23 @@ def nu_diag_4d(p: Quaternion, q: Quaternion) -> SpinValue:
     if difference.is_zero():
         raise NonIsolatedError("equal real parts: the fixed point is not isolated")
     value = 1 / (difference + difference)
-    return SpinValue(GoldenComplex.coerce(_as_golden(value)))
-
-
-def _as_golden(value: Scalar) -> GoldenNumber:
     if isinstance(value, QuadExtNumber):
         try:
-            return value.golden_part()
+            value = value.golden_part()
         except ValueError as error:
             raise NotApplicableError(
                 "spin value lands outside the golden field") from error
-    return value
+    return SpinValue(GoldenComplex.coerce(value))
 
 
 def nu_isolated_4d(fp: IsolatedFixedPoint4) -> SpinValue:
-    """Spin defect x5 / (2(Re Phat11 - Re Phat22)) at an isolated fixed point."""
+    """Spin defect at an isolated fixed point: the diagonal formula at the
+    apex, after the exact conjugation that carries the point to the apex."""
     matrix = fp.phat.normalized()
     if matrix.scale_sq != ONE:
         raise NotApplicableError(
             "exact spin formula needs matrix entries in the golden ring")
-    if eta4(matrix).apply(fp.x) != fp.x:
-        raise InconsistentInputError("the point is not fixed by the isometry")
-    difference = matrix.a.re - matrix.d.re
-    if difference.is_zero():
-        raise NonIsolatedError("equal diagonal real parts: fixed point not isolated")
-    value = fp.x[4] / (difference + difference)
-    return SpinValue(GoldenComplex.coerce(_as_golden(value)))
+    return nu_diag_4d(*_apex_form(matrix, fp.x))
 
 
 def nu_diag_2d(u: GoldenComplex) -> SpinValue:
@@ -124,19 +115,25 @@ ISOLATION_TOL = 1e-6
 
 
 def _eigen_denominator(rows):
-    """Drop the eigenvalue of the float Lorentz matrix rows nearest 1 (the
-    fixed direction); the product of |1 - lambda| over the rest, raising if
-    another angle degenerates."""
-    import numpy as np  # imported here so that only an oracle call loads numpy
-
-    eigenvalues = np.linalg.eigvals(np.array(rows))
-    gaps = [abs(1 - value) for value in eigenvalues]
-    keep = sorted(range(len(eigenvalues)), key=lambda i: gaps[i])[1:]
-    if any(gaps[i] < ISOLATION_TOL for i in keep):
-        raise NonIsolatedError("a rotation angle vanishes: fixed point not isolated")
+    """Product of 2 - 2 cos(theta) = |1 - e^(i theta)|^2 over the rotation
+    angles of the float Lorentz matrix rows, which fix the last axis; raises if
+    one degenerates. The cosines of the rotation block R solve c1 + c2 = tr R / 2
+    and c1^2 + c2^2 = (tr R^2 + 4) / 4, or c = tr R / 2 for a 2x2 block."""
+    block = [row[:-1] for row in rows[:-1]]
+    cos_sum = sum(block[i][i] for i in range(len(block))) / 2
+    if len(block) == 2:
+        cosines = (cos_sum,)
+    else:
+        cos_squares = sum(block[i][j] * block[j][i]
+                          for i in range(4) for j in range(4)) / 4 + 1
+        spread = max(0.0, 2 * cos_squares - cos_sum * cos_sum) ** 0.5
+        cosines = ((cos_sum + spread) / 2, (cos_sum - spread) / 2)
     product = 1.0
-    for i in keep:
-        product *= gaps[i]
+    for cosine in cosines:
+        gap = 2 - 2 * cosine
+        if gap < ISOLATION_TOL ** 2:
+            raise NonIsolatedError("a rotation angle vanishes: fixed point not isolated")
+        product *= gap
     return product
 
 
@@ -161,7 +158,7 @@ def _apex_form(phat, x):
 def nu_numeric_oracle(phat: SpinMatrix4, x: HyperboloidPoint) -> float:
     """Floating-point spin defect: conjugate phat exactly to the matrix that
     fixes the apex, then, in floats, read the half-spin trace difference and
-    divide by the angular defect product from the Lorentz eigenvalues."""
+    divide by the angular defect product of its float Lorentz image."""
     top, bottom = _apex_form(phat, x)
     mu = phat.scale_sq.real() ** 0.5
     top, bottom = (tuple(mu * c.real() for c in q.coords) for q in (top, bottom))
@@ -172,8 +169,8 @@ def nu_numeric_oracle(phat: SpinMatrix4, x: HyperboloidPoint) -> float:
 
 def nu_numeric_oracle_2d(phat: SpinMatrix2, x) -> complex:
     """Two-dimensional analogue; returns a purely imaginary complex number.
-    The Lorentz eigenvalues are those of the dimension-4 image restricted
-    to the complex slice."""
+    The rotation angle is that of the dimension-4 image restricted to the
+    complex slice."""
     top, bottom = _apex_form(phat, x)
     numerator = (top.conjugate() - top).real()
     top, bottom = ((z.re.real(), z.im.real(), 0.0, 0.0) for z in (top, bottom))

@@ -334,6 +334,22 @@ def test_spin_nu_incomplete_payload_exits_two(capsys):
         assert code == 2, phat
         assert out == "" and err.startswith("bad --phat/--x payload: "), err
         assert err.count("\n") == 1, err
+    # a kappa-form scalar where only Q(tau) is accepted: scale_sq, and any
+    # coordinate in dimension 2
+    kappa_scale = dict(json.loads(DIAG_PHAT), scale_sq=QuadExtNumber(1).to_json())
+    phat_2d = json.dumps({"a": GoldenComplex(0, 1).to_json(),
+                          "b": GoldenComplex(0, 0).to_json()})
+    cases = [("--phat", json.dumps(kappa_scale), "--x", APEX_JSON)]
+    for i in range(3):
+        x_2d = [golden_json(n) for n in (0, 0, 1)]
+        x_2d[i] = QuadExtNumber((0, 0, 1)[i]).to_json()
+        cases.append(("--dim", "2", "--phat", phat_2d, "--x", json.dumps(x_2d)))
+    for args in cases:
+        code, out, err = run_cli(capsys, "spin-nu", *args)
+        assert code == 2, args
+        assert out == "" and err == (
+            'bad --phat/--x payload: expected a golden scalar '
+            '{"a": [n, d], "b": [n, d]}, got a kappa-form scalar\n'), err
     # a payload that starts with "-" is still read as the payload
     for args in (("--phat", DIAG_PHAT, "--x", "-1e+16"),
                  ("--phat", "-1", "--x", APEX_JSON)):
@@ -550,25 +566,45 @@ def _checkout_env():
     return env
 
 
-def test_numpy_loads_only_with_the_oracle(tmp_path):
-    """Importing the CLI and running commands without a numeric oracle leave
-    numpy unloaded; the first oracle call of spin-nu loads it."""
+def test_package_imports_only_the_standard_library():
+    """The package has no runtime dependency: every module that
+    src/davisspin imports is in the standard library or the package itself."""
+    outside = []
+    for path in sorted(Path(davisspin.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.partition(".")[0] not in sys.stdlib_module_names
+                        and name.partition(".")[0] != "davisspin"]
+    assert outside == []
+
+
+def test_spin_nu_and_verify_never_load_numpy(tmp_path):
+    """4-D and 2-D spin-nu, oracle included, and verify run in a fresh
+    interpreter without loading numpy."""
     script = (
         "import contextlib, io, json, sys\n"
         "from davisspin import cli\n"
-        "loaded = ['numpy' in sys.modules]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    for argv in json.loads(sys.argv[1]):\n"
         "        assert cli.main(argv) == 0, argv\n"
-        "        loaded.append('numpy' in sys.modules)\n"
-        "print(json.dumps(loaded))\n")
-    commands = [["icosa-table"], ["spin-decompose"], ["ghat-chartable", "--check"],
-                ["spin-nu", "--dim", "4", "--phat", DIAG_PHAT, "--x", APEX_JSON]]
+        "        assert 'numpy' not in sys.modules, argv\n")
+    phat_2d = json.dumps({"a": GoldenComplex(0, 1).to_json(),
+                          "b": GoldenComplex(0, 0).to_json()})
+    x_2d = json.dumps([golden_json(n) for n in (0, 0, 1)])
+    commands = [["spin-nu", "--dim", "4", "--phat", DIAG_PHAT, "--x", APEX_JSON],
+                ["spin-nu", "--dim", "2", "--phat", phat_2d, "--x", x_2d],
+                ["verify"]]
     result = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
                             capture_output=True, text=True, timeout=120,
                             cwd=tmp_path, env=_checkout_env())
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == [False, False, False, False, True]
 
 
 def test_version_matches_pyproject():

@@ -64,7 +64,9 @@ def test_nu_isolated_4d_at_apex():
 
 def test_nu_isolated_4d_conjugation_invariance():
     base_pairs = [("5A", "5B"), ("3", "10B"), ("1", "2"), ("10A", "6")]
-    words = lift_words(15, seed=21)
+    # the Davis sigma-hat carries the apex to a point with kappa coordinates
+    _, sigma_hat = davis_sigma_data()
+    words = lift_words(15, seed=21) + [sigma_hat]
     for p_label, q_label in base_pairs:
         p, q = rep_of(p_label), rep_of(q_label)
         expected = nu_diag_4d(p, q).value
@@ -151,6 +153,11 @@ def test_numeric_oracle_error_cases():
         nu_diag_4d(Quaternion(0, 1), Quaternion(0, 1))
     with pytest.raises(NonIsolatedError):
         nu_numeric_oracle(rotation, APEX)
+    # diag(p, p) fixes the real axis: its angles are 0 and twice that of p
+    with pytest.raises(NonIsolatedError):
+        nu_numeric_oracle(SpinMatrix4.diagonal(rep_of("5A"), rep_of("5A")), APEX)
+    with pytest.raises(NonIsolatedError):
+        nu_numeric_oracle_2d(SpinMatrix2.diagonal(GoldenComplex(-1, 0)), APEX2)
     matrix = SpinMatrix4.diagonal(rep_of("5A"), rep_of("5B"))
     moved_point = eta4(lift_words(1, seed=33)[0]).apply(APEX)
     if moved_point != APEX:
