@@ -41,6 +41,9 @@ def quaternion_json(w, x=0, y=0, z=0):
 APEX_JSON = json.dumps([golden_json(n) for n in (0, 0, 0, 0, 1)])
 DIAG_PHAT = json.dumps({"a": quaternion_json(1), "b": quaternion_json(0),
                         "c": quaternion_json(0), "d": quaternion_json(-1)})
+APEX2_JSON = json.dumps([golden_json(n) for n in (0, 0, 1)])
+DIAG_PHAT_2D = json.dumps({"a": GoldenComplex(0, 1).to_json(),
+                           "b": GoldenComplex(0, 0).to_json()})
 
 
 def parse_csv(text):
@@ -348,13 +351,11 @@ def test_spin_nu_incomplete_payload_exits_two(capsys):
     # a kappa-form scalar where only Q(tau) is accepted: scale_sq, and any
     # coordinate in dimension 2
     kappa_scale = dict(json.loads(DIAG_PHAT), scale_sq=QuadExtNumber(1).to_json())
-    phat_2d = json.dumps({"a": GoldenComplex(0, 1).to_json(),
-                          "b": GoldenComplex(0, 0).to_json()})
     cases = [("--phat", json.dumps(kappa_scale), "--x", APEX_JSON)]
     for i in range(3):
-        x_2d = [golden_json(n) for n in (0, 0, 1)]
+        x_2d = json.loads(APEX2_JSON)
         x_2d[i] = QuadExtNumber((0, 0, 1)[i]).to_json()
-        cases.append(("--dim", "2", "--phat", phat_2d, "--x", json.dumps(x_2d)))
+        cases.append(("--dim", "2", "--phat", DIAG_PHAT_2D, "--x", json.dumps(x_2d)))
     for args in cases:
         code, out, err = run_cli(capsys, "spin-nu", *args)
         assert code == 2, args
@@ -454,7 +455,7 @@ def test_verify_report(capsys):
                     "(10 also as quaternions), order 4")
     assert eigen.count(alpha_detail) == 1
     sampled = eigen.replace(alpha_detail,
-                          "alpha bijective, multiplicative on 800 sampled pairs, order 4")
+                            "alpha bijective, multiplicative on 800 sampled pairs, order 4")
     assert hashlib.sha256(sampled.encode("utf-8")).hexdigest() == (
         "8077522f8f50b1a0ccf903cd6dab2b917b5da6875f2b1762c703f2bf9468b3d6")
     # the exact apex conjugation changed only the oracle's worst gap; with
@@ -613,11 +614,8 @@ def test_spin_nu_and_verify_never_load_numpy(tmp_path):
         "    for argv in json.loads(sys.argv[1]):\n"
         "        assert cli.main(argv) == 0, argv\n"
         "        assert 'numpy' not in sys.modules, argv\n")
-    phat_2d = json.dumps({"a": GoldenComplex(0, 1).to_json(),
-                          "b": GoldenComplex(0, 0).to_json()})
-    x_2d = json.dumps([golden_json(n) for n in (0, 0, 1)])
     commands = [["spin-nu", "--dim", "4", "--phat", DIAG_PHAT, "--x", APEX_JSON],
-                ["spin-nu", "--dim", "2", "--phat", phat_2d, "--x", x_2d],
+                ["spin-nu", "--dim", "2", "--phat", DIAG_PHAT_2D, "--x", APEX2_JSON],
                 ["verify"]]
     result = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
                             capture_output=True, text=True, timeout=120,
