@@ -11,7 +11,7 @@ import random
 import sys
 from functools import lru_cache
 
-from .exactfield import GoldenComplex, GoldenNumber, QuadExtNumber
+from .exactfield import GoldenComplex, GoldenNumber, QuadExtNumber, json_object
 from .quatmat import (APEX, HyperboloidPoint, HyperboloidPoint2, Quaternion,
                       SpinMatrix2, SpinMatrix4, eta4, verify_lift)
 from . import ghat, icosa, reptheory, spinindex
@@ -49,6 +49,18 @@ def _json_dump(payload) -> str:
     return json.dumps(payload, ensure_ascii=False, indent=1) + "\n"
 
 
+def _emit_rows(args, header, rows) -> int:
+    """One table as a JSON list of objects, a CSV block or a pretty block."""
+    if args.format == "json":
+        text = _json_dump([dict(zip(header, row)) for row in rows])
+    elif args.format == "csv":
+        text = _csv_block(header, rows)
+    else:
+        text = _pretty_block(header, rows)
+    _emit(text, args.output)
+    return 0
+
+
 def _cmd_icosa_table(args) -> int:
     class_rows = [(label, icosa.CLASS_ORDERS[label], icosa.CLASS_SIZES[label],
                    str(icosa.CLASS_RE[label])) for label in icosa.CLASS_LABELS]
@@ -75,17 +87,9 @@ def _cmd_icosa_table(args) -> int:
 
 
 def _cmd_ghat_classes(args) -> int:
-    rows = [(cls.name, cls.order, cls.size, ghat.minus_class(cls).name)
-            for cls in ghat.conjugacy_classes()]
-    header = ("class", "order", "size", "minus")
-    if args.format == "json":
-        text = _json_dump([dict(zip(header, row)) for row in rows])
-    elif args.format == "csv":
-        text = _csv_block(header, rows)
-    else:
-        text = _pretty_block(header, rows)
-    _emit(text, args.output)
-    return 0
+    return _emit_rows(args, ("class", "order", "size", "minus"),
+                      [(cls.name, cls.order, cls.size, ghat.minus_class(cls).name)
+                       for cls in ghat.conjugacy_classes()])
 
 
 def _cmd_ghat_chartable(args) -> int:
@@ -123,17 +127,10 @@ def _cmd_ghat_chartable(args) -> int:
 
 
 def _cmd_spin_davis(args) -> int:
-    rows = [(row.name, row.order, row.size, row.fp_label(), str(row.spin),
-             row.provenance, row.minus) for row in spinindex.davis_table()]
     header = ("class", "order", "size", "fp_count", "spin", "provenance", "minus")
-    if args.format == "json":
-        text = _json_dump([dict(zip(header, row)) for row in rows])
-    elif args.format == "csv":
-        text = _csv_block(header, rows)
-    else:
-        text = _pretty_block(header, rows)
-    _emit(text, args.output)
-    return 0
+    return _emit_rows(args, header, [(row.name, row.order, row.size, row.fp_label(),
+                                      str(row.spin), row.provenance, row.minus)
+                                     for row in spinindex.davis_table()])
 
 
 def _cmd_spin_decompose(args) -> int:
@@ -187,6 +184,9 @@ def _cmd_spin_nu(args) -> int:
         sys.stderr.write(f"malformed JSON argument: {error}\n")
         return 2
     try:
+        kind, keys = ("quaternion", "abcd") if args.dim == 4 else ("complex", "ab")
+        json_object(phat_payload, tuple(keys), f"a --phat object with {kind} entries "
+                    + ", ".join(f'"{key}"' for key in keys))
         if args.dim == 4:
             matrix = SpinMatrix4(
                 _parse_quaternion(phat_payload["a"]),

@@ -52,6 +52,16 @@ def _json_fraction(pair) -> Fraction:
     return Fraction(*pair)
 
 
+def json_object(obj, keys: tuple[str, ...], form: str) -> None:
+    """Raise ValueError naming the expected form and what is missing unless
+    obj is a JSON object holding every key of keys."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected {form}, got {type(obj).__name__}")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f'expected {form}, missing key "{key}"')
+
+
 def _sign_u_plus_v_sqrt5(u: Fraction, v: Fraction) -> int:
     if v == 0:
         return -1 if u < 0 else (0 if u == 0 else 1)
@@ -209,6 +219,7 @@ class GoldenNumber:
 
     @classmethod
     def from_json(cls, obj: dict) -> GoldenNumber:
+        json_object(obj, ("a", "b"), 'a golden scalar {"a": [n, d], "b": [n, d]}')
         return cls(_json_fraction(obj["a"]), _json_fraction(obj["b"]))
 
 
@@ -361,6 +372,7 @@ class GoldenComplex(_QuadraticExtension):
 
     @classmethod
     def from_json(cls, obj: dict) -> GoldenComplex:
+        json_object(obj, ("re", "im"), 'a complex scalar {"re": golden, "im": golden}')
         return cls(GoldenNumber.from_json(obj["re"]), GoldenNumber.from_json(obj["im"]))
 
 
@@ -409,6 +421,8 @@ class QuadExtNumber(_QuadraticExtension):
 
     @classmethod
     def from_json(cls, obj: dict) -> QuadExtNumber:
+        json_object(obj, ("base", "ext", "radicand"), "a kappa-form scalar "
+                    '{"base": golden, "ext": golden, "radicand": golden}')
         base, ext = GoldenNumber.from_json(obj["base"]), GoldenNumber.from_json(obj["ext"])
         radicand = GoldenNumber.from_json(obj["radicand"])
         if radicand != KAPPA_RADICAND:

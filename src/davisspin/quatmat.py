@@ -1,5 +1,6 @@
 """Quaternionic 2x2 matrix groups over Q(tau), their Lorentz images under the
-double cover onto the hyperbolic isometries, and the ball/hyperboloid models."""
+double cover onto the 4-dimensional hyperbolic isometries, the hyperboloid
+models, and the disc model that the complex 2x2 group acts on."""
 
 from __future__ import annotations
 
@@ -158,23 +159,19 @@ def _minkowski_check(rows) -> bool:
     return True
 
 
-class _LorentzMatrix:
-    """Lorentz matrix of the subclass's size n, preserving
-    x1^2+...+x(n-1)^2-xn^2, future-preserving, det 1."""
+class LorentzMatrix5:
+    """5x5 Lorentz matrix preserving x1^2+...+x4^2-x5^2, future-preserving, det 1."""
 
     __slots__ = ("_rows",)
 
-    _SIZE = 0
-
     def __init__(self, rows, validate: bool = True) -> None:
-        n = self._SIZE
         self._rows = tuple(tuple(_scalar(v) for v in row) for row in rows)
-        if len(self._rows) != n or any(len(r) != n for r in self._rows):
-            raise InvalidElementError(f"expected a {n}x{n} matrix")
+        if len(self._rows) != 5 or any(len(r) != 5 for r in self._rows):
+            raise InvalidElementError("expected a 5x5 matrix")
         if validate:
             if not _minkowski_check(self._rows):
                 raise InvalidElementError("matrix does not preserve the Lorentz form")
-            if self._rows[n - 1][n - 1].sign() < 0:
+            if self._rows[4][4].sign() < 0:
                 raise InvalidElementError("matrix does not preserve the future cone")
             if not _mat_det(self._rows) == ONE:
                 raise InvalidElementError("matrix does not have determinant one")
@@ -187,51 +184,33 @@ class _LorentzMatrix:
         return self._rows[index]
 
     def __mul__(self, other):
-        if type(other) is not type(self):
+        if not isinstance(other, LorentzMatrix5):
             return NotImplemented
-        return type(self)(_mat_mul(self._rows, other._rows), validate=False)
+        return LorentzMatrix5(_mat_mul(self._rows, other._rows), validate=False)
 
     def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
+        if not isinstance(other, LorentzMatrix5):
             return NotImplemented
         return all(a == b for ra, rb in zip(self._rows, other._rows)
                    for a, b in zip(ra, rb))
 
-    def apply(self, point):
-        n = self._SIZE
-        coords = tuple(sum((self._rows[i][j] * point.coords[j] for j in range(n)),
-                           start=GoldenNumber(0)) for i in range(n))
-        return type(point)(coords)
+    def apply(self, point: HyperboloidPoint) -> HyperboloidPoint:
+        return HyperboloidPoint(tuple(
+            sum((self._rows[i][j] * point.coords[j] for j in range(5)),
+                start=GoldenNumber(0)) for i in range(5)))
 
     def real(self) -> list[list[float]]:
         return [[v.real() for v in row] for row in self._rows]
 
     @classmethod
-    def identity(cls):
-        n = cls._SIZE
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)),
+    def identity(cls) -> LorentzMatrix5:
+        return cls(tuple(tuple(1 if i == j else 0 for j in range(5)) for i in range(5)),
                    validate=False)
 
     def __str__(self) -> str:
         return "\n".join("[" + ", ".join(str(v) for v in row) + "]" for row in self._rows)
 
     __repr__ = __str__
-
-
-class LorentzMatrix5(_LorentzMatrix):
-    """5x5 Lorentz matrix preserving x1^2+...+x4^2-x5^2, future-preserving, det 1."""
-
-    __slots__ = ()
-
-    _SIZE = 5
-
-
-class LorentzMatrix3(_LorentzMatrix):
-    """3x3 Lorentz matrix preserving x1^2+x2^2-x3^2, future-preserving, det 1."""
-
-    __slots__ = ()
-
-    _SIZE = 3
 
 
 class _SpinMatrix:
@@ -378,51 +357,30 @@ class SpinMatrix2(_SpinMatrix):
         return cls(u, GoldenComplex(), validate=validate)
 
 
-class _BallPoint:
-    """Point of the open unit ball of the subclass's entry ring."""
-
-    __slots__ = ("_value",)
-
-    _NAME = ""
-
-    def __init__(self, value) -> None:
-        if (ONE - (value.conjugate() * value).re).sign() <= 0:
-            raise DomainError(f"point lies outside the open unit {self._NAME}")
-        self._value = value
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._value == other._value
-
-    def __str__(self) -> str:
-        return f"{self._NAME} point {self._value}"
-
-    __repr__ = __str__
-
-
-class BallPoint(_BallPoint):
-    """Point of the open unit ball in the quaternions."""
-
-    __slots__ = ()
-
-    _NAME = "ball"
-
-    @property
-    def q(self) -> Quaternion:
-        return self._value
-
-
-class BallPoint2(_BallPoint):
+class BallPoint2:
     """Point of the open unit disc in the complex plane."""
 
-    __slots__ = ()
+    __slots__ = ("_z",)
 
-    _NAME = "disc"
+    def __init__(self, z: BallPoint2 | GoldenComplex) -> None:
+        z = z.z if isinstance(z, BallPoint2) else GoldenComplex.coerce(z)
+        if (ONE - z.norm()).sign() <= 0:
+            raise DomainError("point lies outside the open unit disc")
+        self._z = z
 
     @property
     def z(self) -> GoldenComplex:
-        return self._value
+        return self._z
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BallPoint2):
+            return NotImplemented
+        return self._z == other._z
+
+    def __str__(self) -> str:
+        return f"disc point {self._z}"
+
+    __repr__ = __str__
 
 
 class _HyperboloidPoint:
@@ -538,70 +496,24 @@ def _complex_slice(rows):
     return tuple(tuple(rows[i][j] for j in (0, 1, 4)) for i in (0, 1, 4))
 
 
-def eta2(A: SpinMatrix2) -> LorentzMatrix3:
-    """Image of A under the double cover onto the 2-dimensional hyperbolic
-    isometries: eta4 of A, restricted to the complex slice."""
-    if not A.is_member():
-        raise InvalidElementError("matrix does not satisfy A* J A = J")
-    rows = _eta4_rows(*((z.re, z.im, 0, 0) for z in (A.a, A.b, A.c, A.d)))
-    return LorentzMatrix3(_complex_slice(rows))
-
-
-def verify_lift(A: SpinMatrix4 | SpinMatrix2,
-                M: LorentzMatrix5 | LorentzMatrix3) -> bool:
-    if isinstance(A, SpinMatrix4) and isinstance(M, LorentzMatrix5):
-        return eta4(A) == M
-    if isinstance(A, SpinMatrix2) and isinstance(M, LorentzMatrix3):
-        return eta2(A) == M
-    raise TypeError("mismatched matrix dimensions")
-
-
-def act_ball(A: SpinMatrix4, point: BallPoint | Quaternion) -> BallPoint:
-    q = point.q if isinstance(point, BallPoint) else BallPoint(point).q
-    numerator = A.a * q + A.b
-    denominator = A.c * q + A.d
-    if denominator.is_zero():
-        raise DomainError("ball action is undefined at this point")
-    return BallPoint(numerator * denominator.inverse())
-
-
-def _disc_point(point: BallPoint2 | GoldenComplex) -> Quaternion:
-    """The disc point as the quaternion (re, im, 0, 0) of the complex slice."""
-    z = (point if isinstance(point, BallPoint2)
-         else BallPoint2(GoldenComplex.coerce(point))).z
-    return Quaternion(z.re, z.im)
+def verify_lift(A: SpinMatrix4, M: LorentzMatrix5) -> bool:
+    if not (isinstance(A, SpinMatrix4) and isinstance(M, LorentzMatrix5)):
+        raise TypeError("verify_lift takes a SpinMatrix4 and a LorentzMatrix5")
+    return eta4(A) == M
 
 
 def act_ball2(A: SpinMatrix2, point: BallPoint2 | GoldenComplex) -> BallPoint2:
-    lift = SpinMatrix4(*(Quaternion(z.re, z.im) for z in (A.a, A.b, A.c, A.d)),
-                       validate=False)
-    moved = act_ball(lift, _disc_point(point)).q
-    return BallPoint2(GoldenComplex(*moved.coords[:2]))
-
-
-def zeta(point: BallPoint | Quaternion) -> HyperboloidPoint:
-    q = point.q if isinstance(point, BallPoint) else BallPoint(point).q
-    n = q.norm_sq()
-    inv = (ONE - n).inverse()
-    q0, q1, q2, q3 = q.coords
-    two = GoldenNumber(2)
-    return HyperboloidPoint((two * q0 * inv, two * q1 * inv,
-                             two * q2 * inv, two * q3 * inv,
-                             (ONE + n) * inv))
-
-
-def zeta_inv(point: HyperboloidPoint) -> BallPoint:
-    x1, x2, x3, x4, x5 = point.coords
-    inv = (ONE + x5).inverse()
-    return BallPoint(Quaternion(x1 * inv, x2 * inv, x3 * inv, x4 * inv))
+    """The Moebius action (a z + b) / (c z + d) of A on the disc."""
+    z = BallPoint2(point).z
+    denominator = A.c * z + A.d
+    if denominator.is_zero():
+        raise DomainError("ball action is undefined at this point")
+    return BallPoint2((A.a * z + A.b) * denominator.inverse())
 
 
 def zeta2(point: BallPoint2 | GoldenComplex) -> HyperboloidPoint2:
-    x1, x2, _, _, x5 = zeta(_disc_point(point)).coords
-    return HyperboloidPoint2((x1, x2, x5))
-
-
-def zeta2_inv(point: HyperboloidPoint2) -> BallPoint2:
-    x1, x2, x3 = point.coords
-    moved = zeta_inv(HyperboloidPoint((x1, x2, 0, 0, x3))).q
-    return BallPoint2(GoldenComplex(*moved.coords[:2]))
+    """The disc point z on the hyperboloid: (2 Re z, 2 Im z, 1 + |z|^2) / (1 - |z|^2)."""
+    z = BallPoint2(point).z
+    n = z.norm()
+    inv = (ONE - n).inverse()
+    return HyperboloidPoint2((2 * z.re * inv, 2 * z.im * inv, (ONE + n) * inv))

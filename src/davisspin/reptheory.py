@@ -18,10 +18,6 @@ from . import ghat, icosa
 Matrix = tuple[tuple[GoldenComplex, ...], ...]
 
 
-class NotExtendableError(ValueError):
-    """Character is not invariant under the swap-twist, so it has no extension."""
-
-
 class FieldObstructionError(ValueError):
     """A character of 2I is not real, or Galois conjugation does not permute
     the rows of the character table."""
@@ -161,21 +157,14 @@ class Character:
 
     @property
     def dimension(self) -> GoldenNumber:
-        return self.values[self.class_names.index(self._identity_name())]
-
-    def _identity_name(self) -> str:
-        return "1" if self.group_tag == "2I" else "1×1"
+        return self.value_at("1" if self.group_tag == "2I" else "1×1")
 
     def value_at(self, class_name: str) -> GoldenNumber:
         return self.values[self.class_names.index(class_name)]
 
     @property
     def spinorial(self) -> bool:
-        if self.group_tag == "2I":
-            minus_name = "2"
-        else:
-            minus_name = "2×2"
-        return self.value_at(minus_name) == -self.dimension
+        return self.value_at("2" if self.group_tag == "2I" else "2×2") == -self.dimension
 
 
 def character_of(rep: MatrixRep) -> Character:
@@ -212,11 +201,6 @@ def _class_slots() -> tuple[tuple[int, ...], ...]:
     return tuple(slots)
 
 
-def _check_labels(l1: str, l2: str) -> None:
-    if l1 not in icosa.REP_LABELS or l2 not in icosa.REP_LABELS:
-        raise KeyError(f"unknown irreducible representation: {l1!r} or {l2!r}")
-
-
 def _induced_row(l1: str, l2: str) -> tuple[tuple[int, int], ...]:
     chi1, chi2 = icosa.CHAR_TABLE[l1], icosa.CHAR_TABLE[l2]
     twist1, twist2 = icosa.CHAR_TABLE[REP_STAR[l2]], icosa.CHAR_TABLE[REP_STAR[l1]]
@@ -232,6 +216,9 @@ def _induced_row(l1: str, l2: str) -> tuple[tuple[int, int], ...]:
 
 
 def _extended_row(l1: str, l2: str, sign: int) -> tuple[tuple[int, int], ...]:
+    """The "+" extension of the twist-invariant l1 (x) l2 takes chi_l1 at the
+    first slot p alpha^-1(q) of g^2 at a coset element g = (p, q, 1), by
+    tr((A (x) B) o swap) = tr(AB); the "-" extension is its negation."""
     chi1, chi2 = icosa.CHAR_TABLE[l1], icosa.CHAR_TABLE[l2]
     return tuple(icosa.golden_mul(chi1[slots[0]], chi2[slots[1]]) if len(slots) == 2
                  else icosa.golden_mul((sign, 0), chi1[slots[0]])
@@ -241,34 +228,6 @@ def _extended_row(l1: str, l2: str, sign: int) -> tuple[tuple[int, int], ...]:
 @lru_cache(maxsize=None)
 def _golden(pair: tuple[int, int]) -> GoldenNumber:
     return GoldenNumber(*pair)
-
-
-def _character(label: CharLabel, row: tuple[tuple[int, int], ...]) -> Character:
-    return Character(label, "Ghat", _ghat_class_names(), tuple(map(_golden, row)))
-
-
-def induce_character(l1: str, l2: str) -> Character:
-    """Character induced from the tensor character l1 (x) l2 of the index-2
-    subgroup: theta + theta-twisted on the subgroup, zero on the coset."""
-    _check_labels(l1, l2)
-    return _character(CharLabel("induced", (l1, l2)), _induced_row(l1, l2))
-
-
-def extend_character(l1: str, l2: str, sign: int) -> Character:
-    """One of the two extensions of the twist-invariant character l1 (x) l2.
-
-    A coset element g = (p, q, 1) squares to (p alpha^-1(q), q alpha(p), 0).
-    The "+" extension takes the value chi_l1(p alpha^-1(q)) at g, the
-    character of l1 at the first slot of g^2, by the trace identity
-    tr((A (x) B) o swap) = tr(AB); the "-" extension is its negation."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    _check_labels(l1, l2)
-    if REP_STAR[l1] != l2:
-        raise NotExtendableError(
-            f"{l1} (x) {l2} is not invariant under the swap-twist")
-    return _character(CharLabel("extended", (l1, l2), sign),
-                      _extended_row(l1, l2, sign))
 
 
 @lru_cache(maxsize=None)
@@ -294,7 +253,9 @@ def _integer_table() -> tuple[tuple[CharLabel, tuple[tuple[int, int], ...]], ...
 @lru_cache(maxsize=None)
 def chartable_ghat() -> tuple[Character, ...]:
     """All 54 irreducible characters of the full group."""
-    return tuple(_character(label, row) for label, row in _integer_table())
+    names = _ghat_class_names()
+    return tuple(Character(label, "Ghat", names, tuple(map(_golden, row)))
+                 for label, row in _integer_table())
 
 
 def inner_product(values1: tuple[GoldenNumber, ...],

@@ -362,6 +362,45 @@ def test_spin_nu_incomplete_payload_exits_two(capsys):
         assert out == "" and err == (
             'bad --phat/--x payload: expected a golden scalar '
             '{"a": [n, d], "b": [n, d]}, got a kappa-form scalar\n'), err
+    # a missing key, or a list where an object belongs, is named with the
+    # form that is expected
+    golden = 'a golden scalar {"a": [n, d], "b": [n, d]}'
+    quaternion_phat = ('a --phat object with quaternion entries '
+                       '"a", "b", "c", "d"')
+    diag_2d = json.loads(DIAG_PHAT_2D)
+    kappa_re = dict(diag_2d["a"], re=QuadExtNumber(0).to_json())
+    cases = [
+        (("--phat", json.dumps(dict(json.loads(DIAG_PHAT),
+                                    a=[{"a": [1, 1]}, *quaternion_json(0)[1:]]))),
+         f'{golden}, missing key "b"'),
+        (("--phat", json.dumps({"a": quaternion_json(1)})),
+         f'{quaternion_phat}, missing key "b"'),
+        (("--phat", json.dumps({"a": quaternion_json(1), "b": quaternion_json(0),
+                                "d": quaternion_json(-1)})),
+         f'{quaternion_phat}, missing key "c"'),
+        (("--phat", json.dumps([quaternion_json(1)])), f"{quaternion_phat}, got list"),
+        (("--dim", "2", "--phat", json.dumps({"a": diag_2d["a"]})),
+         'a --phat object with complex entries "a", "b", missing key "b"'),
+        (("--dim", "2", "--phat", json.dumps(dict(diag_2d, a=kappa_re))),
+         f'{golden}, missing key "a"'),
+        (("--dim", "2", "--phat", json.dumps(dict(diag_2d, b={"re": golden_json(0)}))),
+         'a complex scalar {"re": golden, "im": golden}, missing key "im"'),
+        (("--phat", DIAG_PHAT, "--x", json.dumps([golden_json(0)] * 4 + [[1, 1]])),
+         f"{golden}, got list"),
+        (("--phat", json.dumps(dict(json.loads(DIAG_PHAT), scale_sq={"b": [0, 1]}))),
+         f'{golden}, missing key "a"'),
+        (("--phat", json.dumps(dict(json.loads(DIAG_PHAT), a=[
+            {"base": golden_json(1), "radicand": golden_json(1)},
+            *quaternion_json(0)[1:]]))),
+         'a kappa-form scalar {"base": golden, "ext": golden, "radicand": golden}, '
+         'missing key "ext"'),
+    ]
+    for args, message in cases:
+        if "--x" not in args:
+            args = (*args, "--x", APEX2_JSON if "--dim" in args else APEX_JSON)
+        code, out, err = run_cli(capsys, "spin-nu", *args)
+        assert code == 2, args
+        assert out == "" and err == f"bad --phat/--x payload: expected {message}\n", err
     # a payload that starts with "-" is still read as the payload
     for args in (("--phat", DIAG_PHAT, "--x", "-1e+16"),
                  ("--phat", "-1", "--x", APEX_JSON)):

@@ -1,5 +1,6 @@
-"""Quaternion algebra, the two matrix groups, the double covers eta4/eta2,
-and the ball/hyperboloid geometry they act on."""
+"""Quaternion algebra, the two matrix groups, the double cover eta4 and its
+complex slice, and the hyperboloid and disc models they act on; the disc
+model is tied to eta4 by embedding it in the x1, x2, x5 slice."""
 
 import random
 from fractions import Fraction
@@ -11,11 +12,10 @@ import hypothesis.strategies as st
 from davisspin.exactfield import (GoldenNumber, GoldenComplex, QuadExtNumber,
                                   ZERO, ONE, TAU, SQRT5)
 from davisspin.quatmat import (Quaternion, QUAT_ONE, SpinMatrix4, SpinMatrix2,
-                               LorentzMatrix5, LorentzMatrix3, BallPoint,
-                               BallPoint2, HyperboloidPoint, HyperboloidPoint2,
-                               APEX, APEX2, InvalidElementError, DomainError,
-                               eta4, eta2, verify_lift, act_ball, act_ball2,
-                               zeta, zeta_inv, zeta2, zeta2_inv)
+                               LorentzMatrix5, BallPoint2, HyperboloidPoint,
+                               HyperboloidPoint2, APEX, APEX2, InvalidElementError,
+                               DomainError, eta4, verify_lift, act_ball2, zeta2,
+                               _complex_slice)
 from davisspin import icosa
 
 HALF = Fraction(1, 2)
@@ -188,12 +188,6 @@ def test_eta4_rejects_non_member():
         eta4(bad)
 
 
-def test_eta2_rejects_non_member():
-    bad = SpinMatrix2(2, 0, validate=False)
-    with pytest.raises(InvalidElementError, match=r"A\* J A = J"):
-        eta2(bad)
-
-
 def test_products_of_non_members_are_not_marked_members():
     """A product or inverse is known to be a member only when its operands
     are; otherwise is_member() decides, so eta4 rejects the product up front."""
@@ -210,53 +204,56 @@ def test_products_of_non_members_are_not_marked_members():
 
 
 def test_ball_and_hyperboloid_domains():
-    with pytest.raises(DomainError):
-        BallPoint(QUAT_ONE)
+    for outside in (GoldenComplex(1, 0), GoldenComplex(0, -1), GoldenComplex(1, 1),
+                    GoldenComplex(Fraction(3, 5), Fraction(4, 5))):
+        with pytest.raises(DomainError, match="open unit disc"):
+            BallPoint2(outside)
+        with pytest.raises(DomainError, match="open unit disc"):
+            zeta2(outside)
+        with pytest.raises(DomainError, match="open unit disc"):
+            act_ball2(two_dim_generators()[0], outside)
     with pytest.raises(DomainError):
         HyperboloidPoint((0, 0, 0, 0, -1))
     with pytest.raises(DomainError):
         HyperboloidPoint((1, 0, 0, 0, 1))
     with pytest.raises(DomainError):
-        zeta(Quaternion(1, 1))
+        HyperboloidPoint2((0, 0, -1))
 
 
-def test_zeta_examples_and_roundtrip():
-    assert zeta(Quaternion(0)) == APEX
-    half_point = zeta(Quaternion(HALF))
-    assert half_point == HyperboloidPoint(
-        (Fraction(4, 3), 0, 0, 0, Fraction(5, 3)))
-    assert zeta_inv(half_point) == BallPoint(Quaternion(HALF))
-    assert zeta_inv(APEX) == BallPoint(Quaternion(0))
+def inverse_zeta2(point: HyperboloidPoint2) -> GoldenComplex:
+    """The disc point (x1 + x2 i) / (1 + x3) that zeta2 sends to point."""
+    x1, x2, x3 = point.coords
+    return GoldenComplex(x1, x2) * GoldenComplex(1 + x3).inverse()
 
 
-@given(q=st.builds(Quaternion,
-                   *(st.fractions(min_value=-1, max_value=1, max_denominator=8)
-                     for _ in range(4))))
-def test_zeta_roundtrip_on_random_ball_points(q):
-    if (ONE - q.norm_sq()).sign() <= 0:
+unit_fractions_st = st.fractions(min_value=-1, max_value=1, max_denominator=8)
+unit_golden_st = st.builds(GoldenNumber, unit_fractions_st, unit_fractions_st)
+
+
+@given(z=st.builds(GoldenComplex, unit_golden_st, unit_golden_st))
+def test_zeta_roundtrip_on_random_ball_points(z):
+    if (ONE - z.norm()).sign() <= 0:
+        with pytest.raises(DomainError):
+            zeta2(z)
         return
-    assert zeta_inv(zeta(q)) == BallPoint(q)
+    assert inverse_zeta2(zeta2(z)) == z
+    assert zeta2(BallPoint2(z)) == zeta2(z)
 
 
 def test_act_ball_examples():
-    diag = SpinMatrix4.diagonal(icosa.G1, icosa.G2)
-    assert act_ball(diag, Quaternion(0)) == BallPoint(Quaternion(0))
-    boosted = act_ball(golden_boost(), Quaternion(0))
-    assert boosted == BallPoint(Quaternion((2 * TAU - 1) * Fraction(1, 5)))
-    with pytest.raises(DomainError):
-        act_ball(diag, QUAT_ONE)
-
-
-def test_zeta_equivariance_exact():
-    rng = random.Random(11)
-    generators = spin_generators()[:5]
-    points = [Quaternion(0), Quaternion(HALF), Quaternion(0, HALF, HALF),
-              Quaternion(Fraction(1, 3), 0, 0, Fraction(1, 3))]
-    for _ in range(40):
-        word = generators[rng.randrange(5)] * generators[rng.randrange(5)]
-        for q in points:
-            moved = act_ball(word, q)
-            assert zeta(moved) == eta4(word).apply(zeta(q))
+    rotation, quarter_turn, boost = two_dim_generators()
+    origin = GoldenComplex(0, 0)
+    assert act_ball2(rotation, origin) == BallPoint2(origin)
+    assert act_ball2(boost, origin) == BallPoint2(
+        GoldenComplex((2 * TAU - 1) * Fraction(1, 5)))
+    # the quarter turn diag(i, -i) is the rotation z -> -z
+    half = GoldenComplex(GoldenNumber(HALF), ZERO)
+    assert act_ball2(quarter_turn, half) == BallPoint2(-half)
+    assert act_ball2(quarter_turn, BallPoint2(half)) == act_ball2(quarter_turn, half)
+    # a non-member whose denominator c z + d vanishes inside the disc
+    singular = SpinMatrix2(1, 0, GoldenComplex(2), GoldenComplex(-1), validate=False)
+    with pytest.raises(DomainError, match="undefined at this point"):
+        act_ball2(singular, half)
 
 
 def test_zeta_equivariance_float():
@@ -308,38 +305,53 @@ def test_spinmatrix2_membership_enforced():
                     c=GoldenComplex(1, 0), d=GoldenComplex(1, 0))
 
 
+def eta2(A: SpinMatrix2):
+    """The rows of the 2-dimensional image of A: eta4 of A's quaternion lift,
+    restricted to the complex slice x1, x2, x5."""
+    return _complex_slice(eta4(quaternion_lift(A)).rows)
+
+
 def test_eta2_identity_and_quarter_turn():
     identity = SpinMatrix2(GoldenComplex(1, 0), GoldenComplex(0, 0))
-    assert eta2(identity) == LorentzMatrix3(
-        ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert eta2(identity) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     quarter_turn = two_dim_generators()[1]
-    assert eta2(quarter_turn) == LorentzMatrix3(
-        ((-1, 0, 0), (0, -1, 0), (0, 0, 1)))
+    assert eta2(quarter_turn) == ((-1, 0, 0), (0, -1, 0), (0, 0, 1))
     assert eta2(-quarter_turn) == eta2(quarter_turn)
-
-
-def test_eta2_homomorphism_and_equivariance():
-    rng = random.Random(7)
-    generators = two_dim_generators()
-    points = [GoldenComplex(0, 0), GoldenComplex(GoldenNumber(HALF), ZERO),
-              GoldenComplex(ZERO, GoldenNumber(Fraction(1, 3)))]
-    for _ in range(50):
-        x = generators[rng.randrange(3)] * generators[rng.randrange(3)]
-        y = generators[rng.randrange(3)]
-        assert eta2(x * y) == eta2(x) * eta2(y)
-        for z in points:
-            assert zeta2(act_ball2(x, z)) == eta2(x).apply(zeta2(z))
 
 
 def test_zeta2_examples_and_roundtrip():
     assert zeta2(GoldenComplex(0, 0)) == APEX2
-    point = zeta2(GoldenComplex(GoldenNumber(HALF), ZERO))
+    half = GoldenComplex(GoldenNumber(HALF), ZERO)
+    point = zeta2(half)
     assert point == HyperboloidPoint2((Fraction(4, 3), 0, Fraction(5, 3)))
-    assert zeta2_inv(point) == BallPoint2(GoldenComplex(GoldenNumber(HALF), ZERO))
-    with pytest.raises(DomainError):
-        BallPoint2(GoldenComplex(1, 0))
-    with pytest.raises(DomainError):
-        HyperboloidPoint2((0, 0, -1))
+    assert inverse_zeta2(point) == half
+    third_i = GoldenComplex(ZERO, GoldenNumber(Fraction(1, 3)))
+    assert zeta2(third_i) == HyperboloidPoint2((0, Fraction(3, 4), Fraction(5, 4)))
+    # the boost [[sqrt5/2, 1/2], [1/2, sqrt5/2]] carries the apex to height 3/2
+    boost = two_dim_generators()[2]
+    assert zeta2(act_ball2(boost, GoldenComplex(0, 0))) == HyperboloidPoint2(
+        (SQRT5 * Fraction(1, 2), 0, Fraction(3, 2)))
+
+
+def embedded(point: HyperboloidPoint2) -> HyperboloidPoint:
+    """The 2-dimensional hyperboloid point as (x1, x2, 0, 0, x3)."""
+    x1, x2, x3 = point.coords
+    return HyperboloidPoint((x1, x2, 0, 0, x3))
+
+
+def test_disc_model_matches_eta4_on_the_complex_slice():
+    """The disc model is written on GoldenComplex alone; eta4 of the
+    quaternion lift of A, applied to the embedded zeta2(z), must land on the
+    embedded zeta2(act_ball2(A, z)), for seeded words A and disc points z."""
+    points = [GoldenComplex(0, 0), GoldenComplex(GoldenNumber(HALF), ZERO),
+              GoldenComplex(ZERO, GoldenNumber(Fraction(1, 3))),
+              GoldenComplex(Fraction(-1, 4), Fraction(2, 5)),
+              GoldenComplex(TAU - 1, Fraction(-1, 3))]
+    for x in two_dim_words(20, 7):
+        image = eta4(quaternion_lift(x))
+        for z in points:
+            moved = embedded(zeta2(act_ball2(x, z)))
+            assert image.apply(embedded(zeta2(z))) == moved, (x, z)
 
 
 def quaternion_lift(A: SpinMatrix2) -> SpinMatrix4:
@@ -371,15 +383,16 @@ def test_eta4_of_the_complex_slice_fixes_x3_and_x4():
         for i in (2, 3):
             for j in range(5):
                 assert image[i][j] == image[j][i] == (ONE if i == j else ZERO), (i, j)
-        assert LorentzMatrix3(tuple(tuple(image[i][j] for j in (0, 1, 4))
-                                    for i in (0, 1, 4))) == eta2(x)
+        assert _complex_slice(image.rows) == eta2(x)
 
 
 def test_verify_lift_dimension_mismatch():
-    identity3 = LorentzMatrix3.identity()
-    assert identity3 == LorentzMatrix3(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    identity2 = SpinMatrix2.diagonal(GoldenComplex(1, 0))
     with pytest.raises(TypeError):
-        verify_lift(SpinMatrix4.diagonal(QUAT_ONE, QUAT_ONE), identity3)
+        verify_lift(identity2, LorentzMatrix5.identity())
+    with pytest.raises(TypeError):
+        verify_lift(SpinMatrix4.diagonal(QUAT_ONE, QUAT_ONE), eta2(identity2))
+    assert verify_lift(quaternion_lift(identity2), LorentzMatrix5.identity())
     for two in (SpinMatrix2.diagonal(GoldenComplex(1, 0)), *two_dim_words(3, 2)):
         four = quaternion_lift(two)
         assert two != four and four != two
@@ -387,7 +400,6 @@ def test_verify_lift_dimension_mismatch():
             two * four
         with pytest.raises(TypeError):
             four * two
-    assert LorentzMatrix5.identity() != identity3
     assert APEX != APEX2
     with pytest.raises(TypeError):
-        LorentzMatrix5.identity() * identity3
+        LorentzMatrix5.identity() * identity2

@@ -9,8 +9,8 @@ import pytest
 
 from davisspin.exactfield import GoldenComplex, GoldenNumber, TAU, SQRT5
 from davisspin.quatmat import (APEX, APEX2, Quaternion, QUAT_ONE, SpinMatrix2,
-                               SpinMatrix4, LorentzMatrix5, act_ball2, eta2,
-                               eta4, verify_lift, zeta2)
+                               SpinMatrix4, LorentzMatrix5, act_ball2, eta4,
+                               verify_lift, zeta2)
 from davisspin import ghat, icosa, reptheory, spinindex
 from davisspin.spinindex import (DataInconsistencyError, InconsistentInputError,
                                  IsolatedFixedPoint4, NonIsolatedError,
@@ -110,7 +110,7 @@ def test_nu_isolated_2d_matches_diagonal_case():
     # the boost [[sqrt5/2, 1/2], [1/2, sqrt5/2]] carries the apex to height 3/2
     half = Fraction(1, 2)
     boost = SpinMatrix2(GoldenComplex(SQRT5 * half), GoldenComplex(half))
-    assert eta2(boost).apply(APEX2)[2] == Fraction(3, 2)
+    assert zeta2(act_ball2(boost, GoldenComplex(0, 0)))[2] == Fraction(3, 2)
     moved = boost * SpinMatrix2.diagonal(u) * boost.inverse()
     assert nu_isolated_2d(moved, Fraction(3, 2)).value == nu_diag_2d(u).value
     # diag(u) fixes only the apex, and the moved matrix only height 3/2
