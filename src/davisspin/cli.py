@@ -187,6 +187,11 @@ def _cmd_spin_nu(args) -> int:
         kind, keys = ("quaternion", "abcd") if args.dim == 4 else ("complex", "ab")
         json_object(phat_payload, tuple(keys), f"a --phat object with {kind} entries "
                     + ", ".join(f'"{key}"' for key in keys))
+        size = 5 if args.dim == 4 else 3
+        if not isinstance(x_payload, list) or len(x_payload) != size:
+            got = (f"a list of {len(x_payload)}" if isinstance(x_payload, list)
+                   else type(x_payload).__name__)
+            raise ValueError(f"expected a --x list of {size} scalars, got {got}")
         if args.dim == 4:
             matrix = SpinMatrix4(
                 _parse_quaternion(phat_payload["a"]),
@@ -268,13 +273,36 @@ def _verify_checks():
 
     def icosa_alpha_automorphism():
         elements, tables = icosa.enumerate_2I(), icosa.tables()
-        coords, alpha = tables.coords, tables.alpha
+        coords, mul, alpha = tables.coords, tables.mul, tables.alpha
+        # mul is the Cayley table: row 1 is the identity, the generator rows
+        # are icosian products, row(g*a) = row(g) o row(a), and the generators
+        # reach all of 2I, so by induction on word length every row is left
+        # multiplication
+        expect(mul[tables.one], tuple(range(120)), "Cayley table row of 1")
+        position = {x: i for i, x in enumerate(coords)}
+        generators = (tables.index[icosa.G1], tables.index[icosa.G2])
+        for g in generators:
+            for a in range(120):
+                product = icosa._icosian_product(coords[g], coords[a])
+                expect(mul[g][a], position.get(product), "Cayley table row of g1 or g2 "
+                       "at {} times {}", elements[g], elements[a])
+        for g in generators:
+            row_g = mul[g]
+            for a in range(120):
+                row_ga, row_a = mul[row_g[a]], mul[a]
+                for b in range(120):
+                    expect(row_ga[b], row_g[row_a[b]], "Cayley table composition at ({} "
+                           "times {}) times {}", elements[g], elements[a], elements[b])
+        reached = frontier = {tables.one}
+        while frontier:
+            frontier = {mul[g][x] for x in frontier for g in generators} - reached
+            reached = reached | frontier
+        expect(len(reached), 120, "number of icosians reached from 1 by g1 and g2")
         expect(len(set(alpha)), 120, "number of distinct alpha values")
-        image = {coords[x]: coords[alpha[x]] for x in range(120)}
-        products = [[icosa._icosian_product(x, y) for y in coords] for x in coords]
         for x in range(120):
+            row, image_row = mul[x], mul[alpha[x]]
             for y in range(120):
-                expect(image.get(products[x][y]), products[alpha[x]][alpha[y]],
+                expect(alpha[row[y]], image_row[alpha[y]],
                        "alpha of {} times {}", elements[x], elements[y])
         for pair in random.Random("icosa-alpha-automorphism").sample(
                 range(120 * 120), 10):
@@ -318,19 +346,25 @@ def _verify_checks():
 
     def eta_homomorphism():
         lifts = spinindex.davis_rotation_lifts()
-        generators = [lift for lift, _ in lifts.values()]
         for name, (lift, image) in sorted(lifts.items()):
             expect(eta4(lift), image, "eta4({})", name)
+        # from here on each recorded image stands for eta4 of its lift
+        generators = list(lifts.values())
         sigma, sigma_hat = spinindex.davis_sigma_data()
         expect(eta4(sigma_hat), sigma, "eta4(sigma-hat)")
         expect(verify_lift(sigma_hat, sigma), True, "verify_lift(sigma-hat, sigma)")
         rng = random.Random("eta-homomorphism")
         for _ in range(20):
-            a = generators[rng.randrange(4)]
-            b = generators[rng.randrange(4)]
-            word_a = a * generators[rng.randrange(4)]
-            expect(eta4(word_a * b), eta4(word_a) * eta4(b), "eta4 of {} * {}", word_a, b)
-            expect(eta4(-word_a), eta4(word_a), "eta4 of -({})", word_a)
+            a, _ = generators[rng.randrange(4)]
+            b, b_image = generators[rng.randrange(4)]
+            word_a = a * generators[rng.randrange(4)][0]
+            word_image = eta4(word_a)
+            expect(eta4(word_a * b), word_image * b_image, "eta4 of {} * {}", word_a, b)
+            expect(eta4(-word_a), word_image, "eta4 of -({})", word_a)
+        # the sampled words are diagonal; sigma-hat makes them non-diagonal
+        lift, image = lifts["alpha1"]
+        expect(eta4(sigma_hat * lift), sigma * image, "eta4 of sigma-hat * alpha1")
+        expect(eta4(lift * sigma_hat), image * sigma, "eta4 of alpha1 * sigma-hat")
         return "eta4 multiplicative on sampled words; recorded images match"
 
     def sigma_involution():
@@ -375,8 +409,7 @@ def _verify_checks():
         return "index = +(2'(x)3')(+)(3(x)2) - (2(x)3)(+)(3'(x)2'); dim H = 24 + 8k"
 
     def oracle_agreement():
-        lifts = spinindex.davis_rotation_lifts()
-        generators = [lift for lift, _ in lifts.values()]
+        generators = list(spinindex.davis_rotation_lifts().values())
         probes = [(icosa.class_representative("5A"), icosa.class_representative("6")),
                   (Quaternion(GoldenNumber(1)), Quaternion(GoldenNumber(-1))),
                   (icosa.class_representative("10A"), icosa.class_representative("3"))]
@@ -386,9 +419,11 @@ def _verify_checks():
             base = SpinMatrix4.diagonal(p, q)
             exact = spinindex.nu_diag_4d(p, q).real().real
             for _ in range(3):
-                h = generators[rng.randrange(4)]
-                h = h * generators[rng.randrange(4)]
-                x = eta4(h).apply(APEX)
+                # eta-homomorphism checks the recorded images against eta4
+                first, first_image = generators[rng.randrange(4)]
+                second, second_image = generators[rng.randrange(4)]
+                h = first * second
+                x = first_image.apply(second_image.apply(APEX))
                 oracle = spinindex.nu_numeric_oracle(h * base * h.inverse(), x)
                 worst = max(worst, abs(exact - oracle))
         if not worst < ORACLE_TOLERANCE:

@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .exactfield import (GoldenNumber, GoldenComplex, QuadExtNumber, Scalar,
-                         ONE, TAU, power)
+                         ONE, TAU, ZERO, power)
 
 ScalarLike = Union[Scalar, int, Fraction]
 
@@ -147,13 +147,18 @@ def _mat_det(rows) -> Scalar:
 
 
 def _minkowski_check(rows) -> bool:
+    """Whether the columns are orthonormal for x1^2+...+x(n-1)^2-xn^2: each
+    Gram entry is a spatial sum minus the time row's product, and a product
+    with a zero factor is left out."""
+    *space, time = rows
     n = len(rows)
-    signs = (1,) * (n - 1) + (-1,)
     for i in range(n):
         for j in range(i, n):
-            total = sum((signs[k] * (rows[k][i] * rows[k][j]) for k in range(n)),
-                        start=GoldenNumber(0))
-            expected = GoldenNumber(signs[i]) if i == j else GoldenNumber(0)
+            total = sum((row[i] * row[j] for row in space
+                         if not (row[i].is_zero() or row[j].is_zero())), start=ZERO)
+            if not (time[i].is_zero() or time[j].is_zero()):
+                total = total - time[i] * time[j]
+            expected = ZERO if i != j else (ONE if i < n - 1 else -ONE)
             if not total == expected:
                 return False
     return True
@@ -487,7 +492,9 @@ def eta4(A: SpinMatrix4) -> LorentzMatrix5:
         raise InvalidElementError("matrix does not satisfy A* J A = J")
     s = A.scale_sq
     rows = _eta4_rows(A.a.coords, A.b.coords, A.c.coords, A.d.coords)
-    return LorentzMatrix5(tuple(tuple(s * v for v in row) for row in rows))
+    if s != ONE:
+        rows = tuple(tuple(s * v for v in row) for row in rows)
+    return LorentzMatrix5(rows)
 
 
 def _complex_slice(rows):

@@ -9,8 +9,10 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 
 from .exactfield import GoldenComplex, GoldenNumber, ONE, QuadExtNumber
 from .quatmat import (HyperboloidPoint, LorentzMatrix5, Quaternion, SpinMatrix2,
@@ -391,10 +393,11 @@ def _kappa_poly(base_a=0, base_b=0, ext_a=0, ext_b=0) -> QuadExtNumber:
     return QuadExtNumber(GoldenNumber(base_a, base_b), GoldenNumber(ext_a, ext_b))
 
 
+@lru_cache(maxsize=None)
 def davis_sigma_data() -> tuple[LorentzMatrix5, SpinMatrix4]:
     """The exceptional involution of the Davis manifold's symmetry group and
     its order-4 spin lift, both exact over the golden field extended by
-    kappa = sqrt(1 + 3*tau)."""
+    kappa = sqrt(1 + 3*tau); built and validated once, on first use."""
     g = GoldenNumber
     quarter = Fraction(1, 4)
     sigma = LorentzMatrix5((
@@ -416,9 +419,11 @@ def davis_sigma_data() -> tuple[LorentzMatrix5, SpinMatrix4]:
     return sigma, sigma_hat
 
 
-def davis_rotation_lifts() -> dict[str, tuple[SpinMatrix4, LorentzMatrix5]]:
+@lru_cache(maxsize=None)
+def davis_rotation_lifts() -> MappingProxyType[str, tuple[SpinMatrix4, LorentzMatrix5]]:
     """The four order-10 twist generators of the symmetry group: spin lifts
-    paired with their explicit Lorentz images."""
+    paired with their explicit Lorentz images, as a read-only mapping built
+    and validated once, on first use."""
     g = GoldenNumber
 
     def halves(*pairs):
@@ -456,9 +461,9 @@ def davis_rotation_lifts() -> dict[str, tuple[SpinMatrix4, LorentzMatrix5]]:
         ((0, 0), (0, 0), (0, 0), (0, 0), (2, 0)),
     ))
     one = Quaternion(g(1))
-    return {
+    return MappingProxyType({
         "alpha1": (SpinMatrix4.diagonal(icosa.G1, one), alpha1),
         "alpha2": (SpinMatrix4.diagonal(icosa.G2, one), alpha2),
         "beta1": (SpinMatrix4.diagonal(one, icosa.G1), beta1),
         "beta2": (SpinMatrix4.diagonal(one, icosa.G2), beta2),
-    }
+    })

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import davisspin
-from davisspin import cli, ghat, icosa, spinindex
+from davisspin import cli, ghat, icosa, quatmat, spinindex
 from davisspin.exactfield import GoldenComplex, GoldenNumber, QuadExtNumber, TAU
 from davisspin.quatmat import APEX, Quaternion, SpinMatrix2, SpinMatrix4, eta4
 
@@ -394,6 +394,17 @@ def test_spin_nu_incomplete_payload_exits_two(capsys):
             *quaternion_json(0)[1:]]))),
          'a kappa-form scalar {"base": golden, "ext": golden, "radicand": golden}, '
          'missing key "ext"'),
+        # --x must be a list of as many scalars as the dimension needs
+        (("--phat", DIAG_PHAT, "--x", "5"), "a --x list of 5 scalars, got int"),
+        (("--phat", DIAG_PHAT, "--x", json.dumps({"a": golden_json(0)})),
+         "a --x list of 5 scalars, got dict"),
+        (("--phat", DIAG_PHAT, "--x", json.dumps(json.loads(APEX_JSON)[1:])),
+         "a --x list of 5 scalars, got a list of 4"),
+        (("--dim", "2", "--phat", DIAG_PHAT_2D, "--x", APEX_JSON),
+         "a --x list of 3 scalars, got a list of 5"),
+        (("--dim", "2", "--phat", DIAG_PHAT_2D, "--x", json.dumps(golden_json(1))),
+         "a --x list of 3 scalars, got dict"),
+        (("--phat", DIAG_PHAT, "--x", "-1e+16"), "a --x list of 5 scalars, got float"),
     ]
     for args, message in cases:
         if "--x" not in args:
@@ -514,6 +525,25 @@ def test_verify_report(capsys):
     assert "spin-two-fixed-points" in names
 
 
+def _failed_detail(monkeypatch, capsys, name):
+    """The detail of verify's check `name`, run alone, which must fail."""
+    check = dict(cli._verify_checks())[name]
+    monkeypatch.setattr(cli, "_verify_checks", lambda: [(name, check)])
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 1
+    [entry] = json.loads(out)
+    assert entry["status"] == "fail", entry
+    return entry["detail"]
+
+
+def _alpha_check_on(monkeypatch, capsys, **fields):
+    """The failed detail of the alpha check on icosa.tables() with fields
+    replaced."""
+    tables = icosa.tables()
+    monkeypatch.setattr(icosa, "tables", lambda: dataclasses.replace(tables, **fields))
+    return _failed_detail(monkeypatch, capsys, "icosa-alpha-automorphism")
+
+
 def test_verify_reports_a_broken_alpha(monkeypatch, capsys):
     """alpha with two entries swapped is still a bijection of 2I, but not
     multiplicative, and verify reports its alpha check as failed."""
@@ -521,16 +551,74 @@ def test_verify_reports_a_broken_alpha(monkeypatch, capsys):
     alpha = list(tables.alpha)
     assert tables.one not in (3, 4)
     alpha[3], alpha[4] = alpha[4], alpha[3]
-    check = dict(cli._verify_checks())["icosa-alpha-automorphism"]
-    monkeypatch.setattr(icosa, "tables",
-                        lambda: dataclasses.replace(tables, alpha=tuple(alpha)))
-    monkeypatch.setattr(cli, "_verify_checks",
-                        lambda: [("icosa-alpha-automorphism", check)])
+    detail = _alpha_check_on(monkeypatch, capsys, alpha=tuple(alpha))
+    assert detail.startswith("AssertionError: alpha of "), detail
+
+
+def _swapped_row(tables, row, a, b):
+    """tables.mul with entries a and b of one row swapped; every row stays a
+    permutation of 2I."""
+    mul = [list(entries) for entries in tables.mul]
+    mul[row][a], mul[row][b] = mul[row][b], mul[row][a]
+    return tuple(tuple(entries) for entries in mul)
+
+
+def test_verify_ties_the_cayley_table_to_icosian_products(monkeypatch, capsys):
+    """The alpha check reads products from tables().mul, so it first checks
+    the generator rows against icosian products and every other row by
+    composition; a swap in either kind of row fails it."""
+    tables = icosa.tables()
+    g1, g2 = tables.index[icosa.G1], tables.index[icosa.G2]
+    detail = _alpha_check_on(monkeypatch, capsys, mul=_swapped_row(tables, g2, 5, 6))
+    assert detail.startswith("AssertionError: Cayley table row of g1 or g2 at "), detail
+    other = next(i for i in range(120) if i not in (tables.one, g1, g2))
+    detail = _alpha_check_on(monkeypatch, capsys, mul=_swapped_row(tables, other, 0, 1))
+    assert detail.startswith("AssertionError: Cayley table composition at "), detail
+
+
+def test_verify_tests_eta4_off_the_diagonal(monkeypatch, capsys):
+    """An eta4 that is wrong only where b or c has a j coordinate is right on
+    every sampled word, which is diagonal, and on sigma-hat, whose b and c
+    have no j coordinate; the words of sigma-hat and a lift catch it."""
+    sigma, sigma_hat = spinindex.davis_sigma_data()
+    lifts = spinindex.davis_rotation_lifts()
+
+    def off_diagonal_fault(matrix):
+        image = eta4(matrix)
+        if matrix.b.coords[2].is_zero() and matrix.c.coords[2].is_zero():
+            return image
+        return image * lifts["alpha1"][1]
+
+    assert off_diagonal_fault(sigma_hat) == sigma
+    for lift, image in lifts.values():
+        assert off_diagonal_fault(lift) == image
+    monkeypatch.setattr(cli, "eta4", off_diagonal_fault)
+    detail = _failed_detail(monkeypatch, capsys, "eta-homomorphism")
+    assert detail.startswith("AssertionError: eta4 of sigma-hat * alpha1 = "), detail
+
+
+def test_verify_computes_each_exact_image_once(monkeypatch, capsys):
+    """A work-count guard: one verify computes 68 exact eta4 images (4 lifts,
+    sigma-hat twice, 3 for each of 20 sampled words and 2 sigma-hat words)
+    and 240 icosian products (the two generator rows), once the tables are
+    built. Before the repeated work was removed it made 115 and 14,400."""
+    icosa.tables()
+    counts = {"eta4": 0, "product": 0}
+
+    def counted(key, function):
+        def wrapper(*args):
+            counts[key] += 1
+            return function(*args)
+        return wrapper
+
+    counting_eta4 = counted("eta4", quatmat.eta4)
+    monkeypatch.setattr(quatmat, "eta4", counting_eta4)
+    monkeypatch.setattr(cli, "eta4", counting_eta4)
+    monkeypatch.setattr(icosa, "_icosian_product",
+                        counted("product", icosa._icosian_product))
     code, out, err = run_cli(capsys, "verify")
-    assert code == 1
-    [entry] = json.loads(out)
-    assert entry["status"] == "fail", entry
-    assert entry["detail"].startswith("AssertionError: alpha of "), entry
+    assert code == 0, out
+    assert counts == {"eta4": 68, "product": 240}
 
 
 def test_data_override_failure_exits_one(tmp_path, monkeypatch, capsys):

@@ -188,6 +188,30 @@ def test_eta4_rejects_non_member():
         eta4(bad)
 
 
+def _diagonal_rows(*entries):
+    return [[entries[i] if i == j else 0 for j in range(5)] for i in range(5)]
+
+
+def test_lorentz_matrix_rejects_form_breaking_matrices_with_zero_entries():
+    """The form check leaves out products with a zero factor and subtracts the
+    time row's product; it must still reject each of these, while a boost
+    with the same zero pattern passes."""
+    c, s = Fraction(5, 4), Fraction(3, 4)
+    boost = _diagonal_rows(c, 1, 1, 1, c)
+    boost[0][4] = boost[4][0] = s
+    LorentzMatrix5(boost)
+    flipped = [row[:] for row in boost]
+    flipped[4][0] = -s
+    time_leak = _diagonal_rows(1, 1, 1, 1, 1)
+    time_leak[4][0] = 1
+    shear = _diagonal_rows(1, 1, 1, 1, 1)
+    shear[0][1] = 1
+    for rows in (_diagonal_rows(2, HALF, 1, 1, 1), _diagonal_rows(1, 1, 1, 0, 1),
+                 _diagonal_rows(1, 1, 1, 1, 2), flipped, time_leak, shear):
+        with pytest.raises(InvalidElementError, match="Lorentz form"):
+            LorentzMatrix5(rows)
+
+
 def test_products_of_non_members_are_not_marked_members():
     """A product or inverse is known to be a member only when its operands
     are; otherwise is_member() decides, so eta4 rejects the product up front."""

@@ -2,8 +2,12 @@
 recorded fixed-point table, and the index decomposition it determines."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -295,6 +299,29 @@ def test_rotation_lifts():
     beta2, _ = lifts["beta2"]
     assert beta2.a == QUAT_ONE
     assert beta2.d == icosa.G2
+
+
+def test_davis_data_is_built_once_and_read_only():
+    lifts, sigma_data = davis_rotation_lifts(), davis_sigma_data()
+    assert davis_rotation_lifts() is lifts and davis_sigma_data() is sigma_data
+    with pytest.raises(TypeError):
+        lifts["alpha1"] = lifts["beta1"]
+    with pytest.raises(TypeError):
+        del lifts["beta2"]
+    with pytest.raises(TypeError):
+        sigma_data[0] = LorentzMatrix5.identity()
+    assert list(davis_rotation_lifts()) == ["alpha1", "alpha2", "beta1", "beta2"]
+
+
+def test_davis_data_is_not_built_at_import():
+    code = ("import davisspin.cli, davisspin.spinindex as s; "
+            "print(s.davis_rotation_lifts.cache_info().currsize, "
+            "s.davis_sigma_data.cache_info().currsize)")
+    src = str(Path(spinindex.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=env, timeout=60)
+    assert result.returncode == 0 and result.stdout == "0 0\n", result.stderr
 
 
 def write_rows(tmp_path, mutate):
