@@ -5,10 +5,11 @@ models, and the disc model that the complex 2x2 group acts on."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence, Union
 
-from .exactfield import (GoldenNumber, GoldenComplex, QuadExtNumber, Scalar,
-                         ONE, TAU, ZERO, power)
+from .exactfield import (GoldenNumber, GoldenComplex, KAPPA_RADICAND, QuadExtNumber,
+                         Scalar, ONE, TAU, ZERO, power)
 
 ScalarLike = Union[Scalar, int, Fraction]
 
@@ -146,22 +147,78 @@ def _mat_det(rows) -> Scalar:
     return det
 
 
+def _integer_form(scalars):
+    """The scalars as integer coordinates on the basis 1, tau, kappa,
+    tau*kappa over one common denominator: (denominator, ones, taus, kappas,
+    tau_kappas), each coordinate an int list in the order of the scalars."""
+    parts = [(v.base, v.ext) if isinstance(v, QuadExtNumber) else (v, ZERO)
+             for v in scalars]
+    rationals = [(u.a, u.b, w.a, w.b) for u, w in parts]
+    denominator = lcm(*(f.denominator for four in rationals for f in four))
+    ones, taus, kappas, tau_kappas = ([f.numerator * (denominator // f.denominator)
+                                       for f in column] for column in zip(*rationals))
+    return denominator, ones, taus, kappas, tau_kappas
+
+
+# kappa^2 = 1 + 3*tau as the integer pair (1, 3)
+_KAPPA_SQ = (int(KAPPA_RADICAND.a), int(KAPPA_RADICAND.b))
+
+
+def _golden_times(r, ones, taus):
+    """r = (r0, r1), meaning r0 + r1*tau, times each ones[i] + taus[i]*tau,
+    on ints with tau^2 = tau + 1; returns the 1 and tau coordinates."""
+    r0, r1 = r
+    return ([r0 * p + r1 * q for p, q in zip(ones, taus)],
+            [r1 * p + (r0 + r1) * q for p, q in zip(ones, taus)])
+
+
+def _golden_quadratic(form, ones, taus):
+    """form at ones + taus*tau, for a form that is a bilinear map B(x, x)
+    over the integers: by Karatsuba, F(p + q tau) = F(p) + c tau + F(q) tau^2
+    with c = F(p + q) - F(p) - F(q), and tau^2 = tau + 1. Three integer
+    evaluations; returns the 1 and tau coordinates of each output."""
+    fp, fq = form(ones), form(taus)
+    fpq = form([p + q for p, q in zip(ones, taus)])
+    return [p + q for p, q in zip(fp, fq)], [pq - p for p, pq in zip(fp, fpq)]
+
+
+def _quadratic(form, ones, taus, kappas, tau_kappas):
+    """form, a bilinear map B(x, x) over the integers, at the point
+    u + v*kappa of Z[tau, kappa], u = ones + taus*tau and v = kappas +
+    tau_kappas*tau: F(u) + kappa^2 F(v) + kappa (F(u + v) - F(u) - F(v)) with
+    kappa^2 = 1 + 3 tau. Three evaluations over Z[tau], so 9 integer ones,
+    or 3 when v is zero; returns the four coordinates of each output."""
+    u0, u1 = _golden_quadratic(form, ones, taus)
+    if not (any(kappas) or any(tau_kappas)):
+        zeros = [0] * len(u0)
+        return u0, u1, zeros, zeros
+    v0, v1 = _golden_quadratic(form, kappas, tau_kappas)
+    w0, w1 = _golden_quadratic(form, [p + q for p, q in zip(ones, kappas)],
+                               [p + q for p, q in zip(taus, tau_kappas)])
+    k0, k1 = _golden_times(_KAPPA_SQ, v0, v1)
+    return ([a + k for a, k in zip(u0, k0)], [b + k for b, k in zip(u1, k1)],
+            [e - a - c for a, c, e in zip(u0, v0, w0)],
+            [f - b - d for b, d, f in zip(u1, v1, w1)])
+
+
+def _lorentz_gram(m):
+    """The upper triangle of M^T J M, J = diag(1, 1, 1, 1, -1), for the 5x5
+    matrix M with entries m in row order, over any commutative ring."""
+    return [m[i] * m[j] + m[5 + i] * m[5 + j] + m[10 + i] * m[10 + j]
+            + m[15 + i] * m[15 + j] - m[20 + i] * m[20 + j]
+            for i in range(5) for j in range(i, 5)]
+
+
 def _minkowski_check(rows) -> bool:
-    """Whether the columns are orthonormal for x1^2+...+x(n-1)^2-xn^2: each
-    Gram entry is a spatial sum minus the time row's product, and a product
-    with a zero factor is left out."""
-    *space, time = rows
-    n = len(rows)
-    for i in range(n):
-        for j in range(i, n):
-            total = sum((row[i] * row[j] for row in space
-                         if not (row[i].is_zero() or row[j].is_zero())), start=ZERO)
-            if not (time[i].is_zero() or time[j].is_zero()):
-                total = total - time[i] * time[j]
-            expected = ZERO if i != j else (ONE if i < n - 1 else -ONE)
-            if not total == expected:
-                return False
-    return True
+    """Whether the columns are orthonormal for x1^2+...+x4^2-x5^2: the Gram
+    matrix M^T J M, computed on integer coordinates over the common
+    denominator D, is D^2 J exactly."""
+    denominator, *coords = _integer_form([v for row in rows for v in row])
+    ones, taus, kappas, tau_kappas = _quadratic(_lorentz_gram, *coords)
+    square = denominator * denominator
+    expected = [(square if j < 4 else -square) if i == j else 0
+                for i in range(5) for j in range(i, 5)]
+    return ones == expected and not (any(taus) or any(kappas) or any(tau_kappas))
 
 
 class LorentzMatrix5:
@@ -485,16 +542,39 @@ def _eta4_rows(a, b, c, d):
     )
 
 
+def _eta4_form(x):
+    """_eta4_rows on the 16 coordinates of a, b, c, d in order, as one flat
+    list of the 25 entries in row order."""
+    return [v for row in _eta4_rows(x[0:4], x[4:8], x[8:12], x[12:16]) for v in row]
+
+
 def eta4(A: SpinMatrix4) -> LorentzMatrix5:
     """Image of A under the double cover onto the 4-dimensional hyperbolic
-    isometries."""
+    isometries. The bilinear forms and the scale factor run on integer
+    coordinates, and the exact entries are built once at the end:
+    QuadExtNumbers when a coordinate of A is one, GoldenNumbers otherwise."""
     if not A.is_member():
         raise InvalidElementError("matrix does not satisfy A* J A = J")
-    s = A.scale_sq
-    rows = _eta4_rows(A.a.coords, A.b.coords, A.c.coords, A.d.coords)
-    if s != ONE:
-        rows = tuple(tuple(s * v for v in row) for row in rows)
-    return LorentzMatrix5(rows)
+    scalars = [*A.a.coords, *A.b.coords, *A.c.coords, *A.d.coords]
+    denominator, *coords = _integer_form(scalars)
+    parts = _quadratic(_eta4_form, *coords)
+    denominator *= denominator
+    if A.scale_sq != ONE:
+        scale, (s0,), (s1,), _, _ = _integer_form([A.scale_sq])
+        parts = [*_golden_times((s0, s1), *parts[:2]),
+                 *_golden_times((s0, s1), *parts[2:])]
+        denominator *= scale
+
+    def golden(p: int, q: int) -> GoldenNumber:
+        return GoldenNumber(Fraction(p, denominator), Fraction(q, denominator))
+
+    ones, taus, kappas, tau_kappas = parts
+    if any(isinstance(v, QuadExtNumber) for v in scalars):
+        entries = [QuadExtNumber(golden(*u), golden(*v)) for u, v in
+                   zip(zip(ones, taus), zip(kappas, tau_kappas))]
+    else:
+        entries = [golden(p, q) for p, q in zip(ones, taus)]
+    return LorentzMatrix5(tuple(entries[i:i + 5] for i in range(0, 25, 5)))
 
 
 def _complex_slice(rows):

@@ -351,19 +351,20 @@ def test_spin_nu_incomplete_payload_exits_two(capsys):
     # a kappa-form scalar where only Q(tau) is accepted: scale_sq, and any
     # coordinate in dimension 2
     kappa_scale = dict(json.loads(DIAG_PHAT), scale_sq=QuadExtNumber(1).to_json())
-    cases = [("--phat", json.dumps(kappa_scale), "--x", APEX_JSON)]
+    cases = [(("--phat", json.dumps(kappa_scale), "--x", APEX_JSON), '--phat "scale_sq"')]
     for i in range(3):
         x_2d = json.loads(APEX2_JSON)
         x_2d[i] = QuadExtNumber((0, 0, 1)[i]).to_json()
-        cases.append(("--dim", "2", "--phat", DIAG_PHAT_2D, "--x", json.dumps(x_2d)))
-    for args in cases:
+        cases.append((("--dim", "2", "--phat", DIAG_PHAT_2D, "--x", json.dumps(x_2d)),
+                      f"--x[{i}]"))
+    for args, where in cases:
         code, out, err = run_cli(capsys, "spin-nu", *args)
         assert code == 2, args
         assert out == "" and err == (
-            'bad --phat/--x payload: expected a golden scalar '
+            f'bad --phat/--x payload: {where}: expected a golden scalar '
             '{"a": [n, d], "b": [n, d]}, got a kappa-form scalar\n'), err
     # a missing key, or a list where an object belongs, is named with the
-    # form that is expected
+    # form that is expected, after the place of the entry that holds it
     golden = 'a golden scalar {"a": [n, d], "b": [n, d]}'
     quaternion_phat = ('a --phat object with quaternion entries '
                        '"a", "b", "c", "d"')
@@ -372,46 +373,49 @@ def test_spin_nu_incomplete_payload_exits_two(capsys):
     cases = [
         (("--phat", json.dumps(dict(json.loads(DIAG_PHAT),
                                     a=[{"a": [1, 1]}, *quaternion_json(0)[1:]]))),
-         f'{golden}, missing key "b"'),
+         f'--phat "a"[0]: expected {golden}, missing key "b"'),
         (("--phat", json.dumps({"a": quaternion_json(1)})),
-         f'{quaternion_phat}, missing key "b"'),
+         f'expected {quaternion_phat}, missing key "b"'),
         (("--phat", json.dumps({"a": quaternion_json(1), "b": quaternion_json(0),
                                 "d": quaternion_json(-1)})),
-         f'{quaternion_phat}, missing key "c"'),
-        (("--phat", json.dumps([quaternion_json(1)])), f"{quaternion_phat}, got list"),
+         f'expected {quaternion_phat}, missing key "c"'),
+        (("--phat", json.dumps([quaternion_json(1)])),
+         f"expected {quaternion_phat}, got list"),
         (("--dim", "2", "--phat", json.dumps({"a": diag_2d["a"]})),
-         'a --phat object with complex entries "a", "b", missing key "b"'),
+         'expected a --phat object with complex entries "a", "b", missing key "b"'),
         (("--dim", "2", "--phat", json.dumps(dict(diag_2d, a=kappa_re))),
-         f'{golden}, missing key "a"'),
+         f'--phat "a": expected {golden}, missing key "a"'),
         (("--dim", "2", "--phat", json.dumps(dict(diag_2d, b={"re": golden_json(0)}))),
-         'a complex scalar {"re": golden, "im": golden}, missing key "im"'),
+         '--phat "b": expected a complex scalar {"re": golden, "im": golden}, '
+         'missing key "im"'),
         (("--phat", DIAG_PHAT, "--x", json.dumps([golden_json(0)] * 4 + [[1, 1]])),
-         f"{golden}, got list"),
+         f"--x[4]: expected {golden}, got list"),
         (("--phat", json.dumps(dict(json.loads(DIAG_PHAT), scale_sq={"b": [0, 1]}))),
-         f'{golden}, missing key "a"'),
+         f'--phat "scale_sq": expected {golden}, missing key "a"'),
         (("--phat", json.dumps(dict(json.loads(DIAG_PHAT), a=[
             {"base": golden_json(1), "radicand": golden_json(1)},
             *quaternion_json(0)[1:]]))),
-         'a kappa-form scalar {"base": golden, "ext": golden, "radicand": golden}, '
-         'missing key "ext"'),
+         '--phat "a"[0]: expected a kappa-form scalar '
+         '{"base": golden, "ext": golden, "radicand": golden}, missing key "ext"'),
         # --x must be a list of as many scalars as the dimension needs
-        (("--phat", DIAG_PHAT, "--x", "5"), "a --x list of 5 scalars, got int"),
+        (("--phat", DIAG_PHAT, "--x", "5"), "expected a --x list of 5 scalars, got int"),
         (("--phat", DIAG_PHAT, "--x", json.dumps({"a": golden_json(0)})),
-         "a --x list of 5 scalars, got dict"),
+         "expected a --x list of 5 scalars, got dict"),
         (("--phat", DIAG_PHAT, "--x", json.dumps(json.loads(APEX_JSON)[1:])),
-         "a --x list of 5 scalars, got a list of 4"),
+         "expected a --x list of 5 scalars, got a list of 4"),
         (("--dim", "2", "--phat", DIAG_PHAT_2D, "--x", APEX_JSON),
-         "a --x list of 3 scalars, got a list of 5"),
+         "expected a --x list of 3 scalars, got a list of 5"),
         (("--dim", "2", "--phat", DIAG_PHAT_2D, "--x", json.dumps(golden_json(1))),
-         "a --x list of 3 scalars, got dict"),
-        (("--phat", DIAG_PHAT, "--x", "-1e+16"), "a --x list of 5 scalars, got float"),
+         "expected a --x list of 3 scalars, got dict"),
+        (("--phat", DIAG_PHAT, "--x", "-1e+16"),
+         "expected a --x list of 5 scalars, got float"),
     ]
     for args, message in cases:
         if "--x" not in args:
             args = (*args, "--x", APEX2_JSON if "--dim" in args else APEX_JSON)
         code, out, err = run_cli(capsys, "spin-nu", *args)
         assert code == 2, args
-        assert out == "" and err == f"bad --phat/--x payload: expected {message}\n", err
+        assert out == "" and err == f"bad --phat/--x payload: {message}\n", err
     # a payload that starts with "-" is still read as the payload
     for args in (("--phat", DIAG_PHAT, "--x", "-1e+16"),
                  ("--phat", "-1", "--x", APEX_JSON)):
@@ -598,8 +602,8 @@ def test_verify_tests_eta4_off_the_diagonal(monkeypatch, capsys):
 
 
 def test_verify_computes_each_exact_image_once(monkeypatch, capsys):
-    """A work-count guard: one verify computes 68 exact eta4 images (4 lifts,
-    sigma-hat twice, 3 for each of 20 sampled words and 2 sigma-hat words)
+    """A work-count guard: one verify computes 67 exact eta4 images (4 lifts,
+    sigma-hat once, 3 for each of 20 sampled words and 2 sigma-hat words)
     and 240 icosian products (the two generator rows), once the tables are
     built. Before the repeated work was removed it made 115 and 14,400."""
     icosa.tables()
@@ -618,7 +622,31 @@ def test_verify_computes_each_exact_image_once(monkeypatch, capsys):
                         counted("product", icosa._icosian_product))
     code, out, err = run_cli(capsys, "verify")
     assert code == 0, out
-    assert counts == {"eta4": 68, "product": 240}
+    assert counts == {"eta4": 67, "product": 240}
+
+
+def test_spin_nu_never_reaches_the_lorentz_layer(monkeypatch, capsys):
+    """A work-count guard on the separation the benchmark relies on: a 4-D
+    and a 2-D spin-nu call (boosted fixed points, as in the spin-nu stream)
+    read the apex form, and neither calls eta4 nor builds a LorentzMatrix5."""
+    payloads = [("4", *far_fixed_point_payload(2)), ("2", *far_fixed_point_payload_2d(2))]
+    counts = {"eta4": 0, "LorentzMatrix5": 0}
+
+    def counted(key, function):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    counting_eta4 = counted("eta4", quatmat.eta4)
+    monkeypatch.setattr(quatmat, "eta4", counting_eta4)
+    monkeypatch.setattr(cli, "eta4", counting_eta4)
+    monkeypatch.setattr(quatmat.LorentzMatrix5, "__init__",
+                        counted("LorentzMatrix5", quatmat.LorentzMatrix5.__init__))
+    for dim, phat, x in payloads:
+        code, out, err = run_cli(capsys, "spin-nu", "--dim", dim, "--phat", phat, "--x", x)
+        assert code == 0 and err == "", (dim, err)
+    assert counts == {"eta4": 0, "LorentzMatrix5": 0}
 
 
 def test_data_override_failure_exits_one(tmp_path, monkeypatch, capsys):

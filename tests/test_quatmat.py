@@ -15,8 +15,8 @@ from davisspin.quatmat import (Quaternion, QUAT_ONE, SpinMatrix4, SpinMatrix2,
                                LorentzMatrix5, BallPoint2, HyperboloidPoint,
                                HyperboloidPoint2, APEX, APEX2, InvalidElementError,
                                DomainError, eta4, verify_lift, act_ball2, zeta2,
-                               _complex_slice)
-from davisspin import icosa
+                               _complex_slice, _eta4_rows)
+from davisspin import icosa, spinindex
 
 HALF = Fraction(1, 2)
 
@@ -193,9 +193,9 @@ def _diagonal_rows(*entries):
 
 
 def test_lorentz_matrix_rejects_form_breaking_matrices_with_zero_entries():
-    """The form check leaves out products with a zero factor and subtracts the
-    time row's product; it must still reject each of these, while a boost
-    with the same zero pattern passes."""
+    """The form check compares the Gram matrix M^T J M with J on integer
+    coordinates; it must reject each of these, whose zero entries once let a
+    shortcut through, while a boost with the same zero pattern passes."""
     c, s = Fraction(5, 4), Fraction(3, 4)
     boost = _diagonal_rows(c, 1, 1, 1, c)
     boost[0][4] = boost[4][0] = s
@@ -210,6 +210,70 @@ def test_lorentz_matrix_rejects_form_breaking_matrices_with_zero_entries():
                  _diagonal_rows(1, 1, 1, 1, 2), flipped, time_leak, shear):
         with pytest.raises(InvalidElementError, match="Lorentz form"):
             LorentzMatrix5(rows)
+
+
+def davis_words(seed: int, count: int) -> list[SpinMatrix4]:
+    """Seeded words of one to three letters in the four Davis rotation lifts
+    and sigma-hat, so kappa entries and scale_sq != 1 both occur."""
+    _, sigma_hat = spinindex.davis_sigma_data()
+    letters = [lift for lift, _ in spinindex.davis_rotation_lifts().values()]
+    letters.append(sigma_hat)
+    rng = random.Random(seed)
+    words = []
+    for _ in range(count):
+        word = letters[rng.randrange(5)]
+        for _ in range(rng.randrange(3)):
+            word = word * letters[rng.randrange(5)]
+        words.append(word)
+    return words
+
+
+def test_integer_eta4_matches_the_exact_scalar_forms():
+    """eta4 runs the bilinear forms on integer coordinates; each entry must
+    equal the same forms on the exact scalars, times scale_sq, in value,
+    scalar type and text."""
+    words = davis_words(11, 12)
+    assert any(w.scale_sq != ONE for w in words) and any(w.scale_sq == ONE for w in words)
+    lift = next(iter(spinindex.davis_rotation_lifts().values()))[0]
+    kappa_typed = SpinMatrix4(*(Quaternion(*map(QuadExtNumber.coerce, q.coords))
+                                for q in (lift.a, lift.b, lift.c, lift.d)))
+    inputs = [*words, *(-w for w in words), kappa_typed]
+    kinds = set()
+    for x in inputs:
+        expected = _eta4_rows(x.a.coords, x.b.coords, x.c.coords, x.d.coords)
+        image = eta4(x)
+        for i in range(5):
+            for j in range(5):
+                want = expected[i][j] if x.scale_sq == ONE else x.scale_sq * expected[i][j]
+                got = image[i][j]
+                assert got == want and type(got) is type(want), (x, i, j)
+                assert str(got) == str(want), (x, i, j)
+                kinds.add(type(got).__name__ + ("" if type(got) is GoldenNumber
+                                                 else str(got.ext.is_zero())))
+    assert kinds == {"GoldenNumber", "QuadExtNumberTrue", "QuadExtNumberFalse"}
+
+
+def test_lorentz_form_check_rejects_each_moved_entry():
+    """Moving one entry of a recorded image by tau/7, by a kappa part or by
+    10^-30 breaks the Lorentz form; negating a space row keeps the form and
+    is caught by the determinant."""
+    sigma, _ = spinindex.davis_sigma_data()
+    images = [image for _, image in spinindex.davis_rotation_lifts().values()]
+    moves = (TAU / 7, KAPPA, GoldenNumber(Fraction(1, 10 ** 30)))
+    for image in (*images, sigma):
+        rows = [list(row) for row in image.rows]
+        for i in range(5):
+            for j in range(5):
+                for move in moves:
+                    moved = [row[:] for row in rows]
+                    moved[i][j] = moved[i][j] + move
+                    with pytest.raises(InvalidElementError,
+                                       match="^matrix does not preserve the Lorentz form$"):
+                        LorentzMatrix5(moved)
+        flipped = [[-v for v in row] if i == 0 else row for i, row in enumerate(rows)]
+        with pytest.raises(InvalidElementError,
+                           match="^matrix does not have determinant one$"):
+            LorentzMatrix5(flipped)
 
 
 def test_products_of_non_members_are_not_marked_members():
