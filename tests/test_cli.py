@@ -147,6 +147,15 @@ def test_spin_davis_json(capsys):
     assert provenances <= set(spinindex.PROVENANCE_TAGS)
 
 
+def test_spin_davis_csv_and_pretty(capsys):
+    for fmt, digest in (
+            ("csv", "e69360bde5aa0e289020cad4620b330c9aa728d533eb1ff463bde624adc2a5ef"),
+            ("pretty", "75b3fef0dbbc4b0209e03efb5d226c510641fde01c0f1dd9bf5bb8250812b4b0")):
+        code, out, err = run_cli(capsys, "spin-davis", "--format", fmt)
+        assert code == 0 and err == "", fmt
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, fmt
+
+
 def test_spin_decompose_json(capsys):
     code, out, err = run_cli(capsys, "spin-decompose", "--format", "json")
     assert code == 0
