@@ -11,7 +11,7 @@ import random
 import sys
 from functools import lru_cache
 
-from .exactfield import GoldenComplex, GoldenNumber, QuadExtNumber, json_object
+from .exactfield import GoldenComplex, GoldenNumber, QuadExtNumber, json_entry, json_object
 from .quatmat import (APEX, HyperboloidPoint, HyperboloidPoint2, Quaternion,
                       SpinMatrix2, SpinMatrix4, eta4)
 from . import ghat, icosa, reptheory, spinindex
@@ -170,19 +170,8 @@ def _parse_scalar(payload, kappa: bool = True):
     return GoldenNumber.from_json(payload)
 
 
-def _parse_entry(parse, payload, key, where: str, *args):
-    """parse(payload[key], *args); a parse error is prefixed with the entry's
-    place in the payload: where[key] for a list index, where "key" for an
-    object key."""
-    try:
-        return parse(payload[key], *args)
-    except (ValueError, ZeroDivisionError) as error:
-        place = f"{where}[{key}]" if isinstance(key, int) else f'{where} "{key}"'
-        raise ValueError(f"{place}: {error}") from None
-
-
 def _parse_scalars(payload: list, where: str, kappa: bool = True) -> list:
-    return [_parse_entry(_parse_scalar, payload, index, where, kappa)
+    return [json_entry(_parse_scalar, payload, index, where, kappa)
             for index in range(len(payload))]
 
 
@@ -213,7 +202,7 @@ def _cmd_spin_nu(args) -> int:
         if args.dim == 4:
             matrix = SpinMatrix4(
                 *(_parse_quaternion(phat_payload, key) for key in keys),
-                scale_sq=_parse_entry(_parse_scalar, phat_payload, "scale_sq",
+                scale_sq=json_entry(_parse_scalar, phat_payload, "scale_sq",
                                       "--phat", False)
                 if "scale_sq" in phat_payload else 1)
             point = HyperboloidPoint(_parse_scalars(x_payload, "--x"))
@@ -222,7 +211,7 @@ def _cmd_spin_nu(args) -> int:
             oracle = float(spinindex.nu_numeric_oracle(matrix, point))
             numeric = exact.real().real
         else:
-            matrix = SpinMatrix2(*(_parse_entry(GoldenComplex.from_json, phat_payload,
+            matrix = SpinMatrix2(*(json_entry(GoldenComplex.from_json, phat_payload,
                                                 key, "--phat") for key in keys))
             point = HyperboloidPoint2(_parse_scalars(x_payload, "--x", kappa=False))
             exact = spinindex.nu_isolated_2d(matrix, point[2])
@@ -400,12 +389,11 @@ def _verify_checks():
         return "spin value at each minus class is the negation, all 54 classes"
 
     def spin_two_fixed_points():
-        rows = {row.name: row for row in spinindex.davis_table()}
         checked = 0
-        for name, row in rows.items():
-            if row.fp_count == 2 and "+" in name:
-                value = spinindex.spin_number_two_fp(name)
-                expect(value.value, GoldenComplex.coerce(row.spin), "spin of {}", name)
+        for row in spinindex.davis_table():
+            if row.fp_count == 2 and "+" in row.name:
+                value = spinindex.spin_number_two_fp(row.name)
+                expect(value.value, GoldenComplex.coerce(row.spin), "spin of {}", row.name)
                 checked += 1
         expect(checked, 14, "number of recorded 2-FP pair rows")
         return "two-point formula reproduces all 14 recorded 2-FP pair rows"

@@ -52,6 +52,26 @@ def _json_fraction(pair) -> Fraction:
     return Fraction(*pair)
 
 
+class PayloadError(ValueError):
+    """A JSON payload error at a place inside the payload."""
+
+    def __init__(self, place: str, detail) -> None:
+        super().__init__(f"{place.lstrip()}: {detail}")
+        self.place, self.detail = place, detail
+
+
+def json_entry(parse, payload, key, where: str = "", *args):
+    """parse(payload[key], *args), a parse error prefixed with the entry's place,
+    where[key] or where "key", and then the place of a nested entry in it."""
+    try:
+        return parse(payload[key], *args)
+    except (ValueError, ZeroDivisionError) as error:
+        place = f"{where}[{key}]" if isinstance(key, int) else f'{where} "{key}"'
+        if isinstance(error, PayloadError):
+            place, error = place + error.place, error.detail
+        raise PayloadError(place, error) from None
+
+
 def json_object(obj, keys: tuple[str, ...], form: str) -> None:
     """Raise ValueError naming the expected form and what is missing unless
     obj is a JSON object holding every key of keys."""
@@ -373,7 +393,7 @@ class GoldenComplex(_QuadraticExtension):
     @classmethod
     def from_json(cls, obj: dict) -> GoldenComplex:
         json_object(obj, ("re", "im"), 'a complex scalar {"re": golden, "im": golden}')
-        return cls(GoldenNumber.from_json(obj["re"]), GoldenNumber.from_json(obj["im"]))
+        return cls(*(json_entry(GoldenNumber.from_json, obj, key) for key in ("re", "im")))
 
 
 class QuadExtNumber(_QuadraticExtension):
@@ -423,8 +443,8 @@ class QuadExtNumber(_QuadraticExtension):
     def from_json(cls, obj: dict) -> QuadExtNumber:
         json_object(obj, ("base", "ext", "radicand"), "a kappa-form scalar "
                     '{"base": golden, "ext": golden, "radicand": golden}')
-        base, ext = GoldenNumber.from_json(obj["base"]), GoldenNumber.from_json(obj["ext"])
-        radicand = GoldenNumber.from_json(obj["radicand"])
+        base, ext, radicand = (json_entry(GoldenNumber.from_json, obj, key)
+                               for key in ("base", "ext", "radicand"))
         if radicand != KAPPA_RADICAND:
             raise ValueError(f"kappa radicand must be {KAPPA_RADICAND}, got {radicand}")
         return cls(base, ext)

@@ -139,6 +139,16 @@ class GhatClass:
     size: int
     is_coset: bool
 
+    @property
+    def slots(self) -> tuple[str, ...]:
+        """The 2I classes its smallest member reads: (label(p), label(q)) for
+        (p, q, 0); the coset slot (label(p alpha^-1(q)),) for (p, q, 1)."""
+        p, q, e = self.triple
+        if e:
+            return (coset_slot(self.triple),)
+        label = icosa.tables().label
+        return (label[p], label[q])
+
     def __str__(self) -> str:
         return f"{self.name} (order {self.order}, size {self.size})"
 

@@ -388,8 +388,8 @@ class SpinMatrix4(_SpinMatrix):
         return self._scale_sq
 
     @classmethod
-    def diagonal(cls, p: Quaternion, q: Quaternion, validate: bool = True) -> SpinMatrix4:
-        return cls(p, Quaternion(), Quaternion(), q, validate=validate)
+    def diagonal(cls, p: Quaternion, q: Quaternion) -> SpinMatrix4:
+        return cls(p, Quaternion(), Quaternion(), q)
 
     def real(self) -> list[list[tuple[float, float, float, float]]]:
         mu = self._scale_sq.real() ** 0.5
@@ -415,8 +415,8 @@ class SpinMatrix2(_SpinMatrix):
         super().__init__(a, b, c, d, validate=validate)
 
     @classmethod
-    def diagonal(cls, u: GoldenComplex, validate: bool = True) -> SpinMatrix2:
-        return cls(u, GoldenComplex(), validate=validate)
+    def diagonal(cls, u: GoldenComplex) -> SpinMatrix2:
+        return cls(u, GoldenComplex())
 
 
 class BallPoint2:

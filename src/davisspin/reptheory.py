@@ -186,19 +186,9 @@ def _ghat_class_names() -> tuple[str, ...]:
 
 @lru_cache(maxsize=None)
 def _class_slots() -> tuple[tuple[int, ...], ...]:
-    """The 2I class columns each class of the full group reads, from its
-    smallest index triple: (label(p), label(q)) for (p, q, 0); the coset
-    slot (label(p alpha^-1(q)),) for (p, q, 1), the first slot of its square."""
-    label = icosa.tables().label
+    """The 2I class columns of each class's slots."""
     column = {l: i for i, l in enumerate(icosa.CLASS_LABELS)}
-    slots = []
-    for cls in ghat.conjugacy_classes():
-        p, q, e = cls.triple
-        if e == 0:
-            slots.append((column[label[p]], column[label[q]]))
-        else:
-            slots.append((column[ghat.coset_slot(cls.triple)],))
-    return tuple(slots)
+    return tuple(tuple(column[l] for l in cls.slots) for cls in ghat.conjugacy_classes())
 
 
 def _induced_row(l1: str, l2: str) -> tuple[tuple[int, int], ...]:

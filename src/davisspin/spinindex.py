@@ -216,7 +216,8 @@ def _json_int(value, field: str) -> int:
 
 
 def davis_table() -> tuple[DavisSpinRow, ...]:
-    """The recorded per-class fixed-point rows, in recorded order."""
+    """The recorded per-class fixed-point rows, in recorded order, each checked
+    against the computed class structure by the rule of its provenance."""
     path = _data_path()
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
@@ -227,8 +228,7 @@ def davis_table() -> tuple[DavisSpinRow, ...]:
     if not isinstance(payload, dict) or not isinstance(payload.get("rows"), list):
         raise DataInconsistencyError(
             f"spin data {path} is not a JSON object with a list of rows")
-    rows = []
-    seen = set()
+    rows: dict[str, DavisSpinRow] = {}
     for record in payload["rows"]:
         try:
             name = ghat.normalize_class_name(record["name"])
@@ -252,20 +252,8 @@ def davis_table() -> tuple[DavisSpinRow, ...]:
                 f"unknown provenance {row.provenance!r} for {row.name}")
         if fp_count is not None and fp_count < 0:
             raise DataInconsistencyError(f"negative fixed-point count for {row.name}")
-        if row.name in seen:
+        if row.name in rows:
             raise DataInconsistencyError(f"duplicate spin data row {row.name}")
-        seen.add(row.name)
-        rows.append(row)
-    if len(rows) != 34:
-        raise DataInconsistencyError(
-            f"expected 34 recorded rows, found {len(rows)}")
-    return tuple(rows)
-
-
-def _validated_rows() -> dict[str, DavisSpinRow]:
-    """Recorded rows cross-checked against the computed group structure."""
-    by_name = {}
-    for row in davis_table():
         cls = ghat.class_by_name(row.name)
         if cls.order != row.order or cls.size != row.size:
             raise DataInconsistencyError(
@@ -278,60 +266,64 @@ def _validated_rows() -> dict[str, DavisSpinRow]:
         if row.minus == row.name and not row.spin.is_zero():
             raise DataInconsistencyError(
                 f"{row.name}: self-paired class must have spin 0")
-        by_name[row.name] = row
-    for row in by_name.values():
+        if row.provenance.startswith("forced-zero") and not row.spin.is_zero():
+            raise DataInconsistencyError(
+                f"{row.name}: {row.provenance} row must have spin 0")
         if row.provenance == "computed-lemma82":
             if "+" not in row.name:
                 raise DataInconsistencyError(
                     f"{row.name}: two-fixed-point provenance needs a merged name")
-            if _pair_formula(row.name) != row.spin:
+            if _pair_formula(cls) != row.spin:
                 raise DataInconsistencyError(
                     f"{row.name}: recorded spin {row.spin} differs from the "
                     "two-fixed-point formula value")
-    return by_name
+        rows[row.name] = row
+    if len(rows) != 34:
+        raise DataInconsistencyError(
+            f"expected 34 recorded rows, found {len(rows)}")
+    return tuple(rows.values())
 
 
-def _pair_formula(name: str) -> GoldenNumber:
-    first, second = name.split("+")
-    x, y = first.split("×")
-    y_prime, x_prime = second.split("×")
+@lru_cache(maxsize=None)
+def _pair_formula(cls: ghat.GhatClass) -> GoldenNumber:
+    """Sum of the apex defects 1/(2(Re x - Re y)) of the two pairs (x, y) and
+    (star y, star x) of a merged class, read from its slots."""
+    x, y = cls.slots
     total = GoldenNumber(0)
-    for left, right in ((x, y), (y_prime, x_prime)):
+    for left, right in ((x, y), (ghat.star_label(y), ghat.star_label(x))):
         difference = icosa.CLASS_RE[left] - icosa.CLASS_RE[right]
         if difference.is_zero():
-            raise NonIsolatedError(
-                f"classes {left} and {right} share a real part")
+            raise DataInconsistencyError(
+                f"{cls.name}: classes {left} and {right} share a real part")
         total = total + (difference + difference).inverse()
     return total
 
 
 def spin_number_two_fp(name: str) -> SpinValue:
     """Spin number of a subgroup-type class fixing exactly two points:
-    the sum of the two apex defects read off the merged class name."""
-    canonical = ghat.normalize_class_name(name)
-    cls = ghat.class_by_name(canonical)
+    the sum of the two apex defects read off the class's slots."""
+    cls = ghat.class_by_name(name)
     if cls.is_coset:
         raise NotApplicableError(
-            f"{canonical} acts with coset type; the two-point formula "
+            f"{cls.name} acts with coset type; the two-point formula "
             "needs a rotation pair")
-    rows = {r.name: r for r in davis_table()}
-    row = rows.get(canonical)
+    row = {r.name: r for r in davis_table()}.get(cls.name)
     if row is None:
-        raise NotApplicableError(f"no fixed-point data recorded for {canonical}")
+        raise NotApplicableError(f"no fixed-point data recorded for {cls.name}")
     if row.fp_count != 2:
         raise NotApplicableError(
-            f"{canonical} fixes {row.fp_label()} points, not 2")
-    if "+" not in canonical:
+            f"{cls.name} fixes {row.fp_label()} points, not 2")
+    if "+" not in cls.name:
         raise NotApplicableError(
-            f"{canonical} is not a merged twist-pair class")
-    return SpinValue(GoldenComplex.coerce(_pair_formula(canonical)))
+            f"{cls.name} is not a merged twist-pair class")
+    return SpinValue(GoldenComplex.coerce(_pair_formula(cls)))
 
 
 def davis_spin_character() -> tuple[tuple[DavisSpinRow, ...],
                                     tuple[GoldenNumber, ...]]:
     """All 54 classes in canonical order with spin numbers and provenance:
     recorded rows verbatim, minus classes by antisymmetry."""
-    by_name = _validated_rows()
+    by_name = {row.name: row for row in davis_table()}
     rows = []
     values = []
     for cls in ghat.conjugacy_classes():

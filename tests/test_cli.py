@@ -13,9 +13,10 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 import davisspin
@@ -393,7 +394,13 @@ def test_spin_nu_incomplete_payload_exits_two(capsys):
         (("--dim", "2", "--phat", json.dumps({"a": diag_2d["a"]})),
          'expected a --phat object with complex entries "a", "b", missing key "b"'),
         (("--dim", "2", "--phat", json.dumps(dict(diag_2d, a=kappa_re))),
-         f'--phat "a": expected {golden}, missing key "a"'),
+         f'--phat "a" "re": expected {golden}, missing key "a"'),
+        (("--dim", "2", "--phat", json.dumps(dict(diag_2d, b=dict(diag_2d["b"],
+                                                                   im=[0, 1])))),
+         f'--phat "b" "im": expected {golden}, got list'),
+        (("--dim", "2", "--phat", json.dumps(dict(diag_2d, a=dict(diag_2d["a"],
+                                                                   im={"a": [1, 0]})))),
+         f'--phat "a" "im": expected {golden}, missing key "b"'),
         (("--dim", "2", "--phat", json.dumps(dict(diag_2d, b={"re": golden_json(0)}))),
          '--phat "b": expected a complex scalar {"re": golden, "im": golden}, '
          'missing key "im"'),
@@ -406,6 +413,10 @@ def test_spin_nu_incomplete_payload_exits_two(capsys):
             *quaternion_json(0)[1:]]))),
          '--phat "a"[0]: expected a kappa-form scalar '
          '{"base": golden, "ext": golden, "radicand": golden}, missing key "ext"'),
+        (("--phat", json.dumps(dict(json.loads(DIAG_PHAT), a=[
+            *quaternion_json(1)[:3],
+            {"base": golden_json(0), "ext": {"a": [0, 1]}, "radicand": golden_json(1)}]))),
+         f'--phat "a"[3] "ext": expected {golden}, missing key "b"'),
         # --x must be a list of as many scalars as the dimension needs
         (("--phat", DIAG_PHAT, "--x", "5"), "expected a --x list of 5 scalars, got int"),
         (("--phat", DIAG_PHAT, "--x", json.dumps({"a": golden_json(0)})),
@@ -685,6 +696,69 @@ def test_data_override_failure_exits_one(tmp_path, monkeypatch, capsys):
             assert "1×3+3×1" in err and "JSON integer" in err, err
         if text in non_strings:
             assert "not a class name" in err, err
+
+
+_BUNDLED_ROWS = json.loads((Path(davisspin.__file__).parent / "data" / "davis_table6.json")
+                           .read_text(encoding="utf-8"))["rows"]
+
+
+def _override_row(name, field, change):
+    """The bundled spin data as JSON text with one field of the row name
+    changed: ord and spin are shifted by change, other fields replaced."""
+    rows = []
+    for record in _BUNDLED_ROWS:
+        if record["name"] == name:
+            if field == "ord":
+                change = record["ord"] + change
+            elif field == "spin":
+                change = [a + d for a, d in zip(record["spin"], change)]
+            record = dict(record, **{field: change})
+        rows.append(record)
+    return json.dumps({"rows": rows})
+
+
+@pytest.mark.parametrize("name, field, change, reason", [
+    ("5A×5A+5B×5B", "provenance", "computed-lemma82", "classes 5A and 5A share a real part"),
+    ("3×3", "ord", 4, "recorded order/size 7/400 differ from computed 3/400"),
+    ("3×3", "spin", (2, 0), "forced-zero-lemma72 row must have spin 0")])
+def test_data_override_contradicting_the_group_names_the_row(
+        tmp_path, monkeypatch, capsys, name, field, change, reason):
+    bad = tmp_path / "table.json"
+    bad.write_text(_override_row(name, field, change), encoding="utf-8")
+    monkeypatch.setenv("SPININDEX_DATA", str(bad))
+    for command in ("spin-davis", "spin-decompose"):
+        code, out, err = run_cli(capsys, command)
+        assert code == 1 and out == "", command
+        assert err == f"data inconsistency: {name}: {reason}\n", err
+
+
+_ROW_CHANGES = st.one_of(
+    st.tuples(st.just("name"), st.sampled_from(sorted(
+        {record[key] for record in _BUNDLED_ROWS for key in ("name", "minus")}))),
+    st.tuples(st.just("provenance"), st.sampled_from(spinindex.PROVENANCE_TAGS)),
+    st.tuples(st.just("ord"), st.sampled_from((-1, 1))),
+    st.tuples(st.just("fp_count"), st.sampled_from((2, 0, "inf"))),
+    st.tuples(st.just("spin"), st.sampled_from(((1, 0), (-1, 0), (0, 1), (0, -1)))),
+    st.tuples(st.just("minus"), st.sampled_from(sorted(
+        {record["minus"] for record in _BUNDLED_ROWS}))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from([record["name"] for record in _BUNDLED_ROWS]),
+       change=_ROW_CHANGES)
+@example(name="5A×5A+5B×5B", change=("provenance", "computed-lemma82"))
+def test_data_override_fuzzed_rows(tmp_path_factory, name, change):
+    path = tmp_path_factory.mktemp("rows") / "table.json"
+    path.write_text(_override_row(name, *change), encoding="utf-8")
+    with mock.patch.dict(os.environ, {"SPININDEX_DATA": str(path)}):
+        for command in ("spin-davis", "spin-decompose"):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main([command])
+            assert code in (0, 1), command
+            if code:
+                assert out.getvalue() == "" and err.getvalue().count("\n") == 1, (
+                    command, err.getvalue())
 
 
 def _seeded_spin_data(tmp_path):

@@ -183,7 +183,7 @@ def test_eta4_kernel_is_plus_minus_identity():
 
 
 def test_eta4_rejects_non_member():
-    bad = SpinMatrix4.diagonal(Quaternion(2), QUAT_ONE, validate=False)
+    bad = SpinMatrix4(Quaternion(2), Quaternion(), Quaternion(), QUAT_ONE, validate=False)
     with pytest.raises(InvalidElementError):
         eta4(bad)
 

@@ -240,7 +240,7 @@ def test_two_fixed_point_not_applicable():
 
 def test_ridge_contribution_consistency():
     recorded = davis_table_row("1×5A+5B×1").spin
-    apex_pair = spinindex._pair_formula("1×5A+5B×1")
+    apex_pair = spinindex._pair_formula(ghat.class_by_name("1×5A+5B×1"))
     assert apex_pair == SQRT5 * Fraction(1, 5)
     assert recorded - apex_pair == SQRT5 * Fraction(24, 5)
 
