@@ -203,7 +203,7 @@ def _cmd_spin_nu(args) -> int:
             matrix = SpinMatrix4(
                 *(_parse_quaternion(phat_payload, key) for key in keys),
                 scale_sq=json_entry(_parse_scalar, phat_payload, "scale_sq",
-                                      "--phat", False)
+                                    "--phat", False)
                 if "scale_sq" in phat_payload else 1)
             point = HyperboloidPoint(_parse_scalars(x_payload, "--x"))
             exact = spinindex.nu_isolated_4d(
@@ -212,7 +212,7 @@ def _cmd_spin_nu(args) -> int:
             numeric = exact.real().real
         else:
             matrix = SpinMatrix2(*(json_entry(GoldenComplex.from_json, phat_payload,
-                                                key, "--phat") for key in keys))
+                                              key, "--phat") for key in keys))
             point = HyperboloidPoint2(_parse_scalars(x_payload, "--x", kappa=False))
             exact = spinindex.nu_isolated_2d(matrix, point[2])
             oracle = complex(spinindex.nu_numeric_oracle_2d(matrix, point))
