@@ -174,6 +174,26 @@ def test_spin_decompose_json(capsys):
             assert row["dimension"] == 12
 
 
+def test_table_csv_and_pretty(capsys):
+    for command, digests in (
+            ("icosa-table",
+             ("e7889abdade6ef95af27bbdab3d119a43bcfe8fcc5faa4a86cb7f9c2ba984e18",
+              "fc6a75cb86a820b6c82634efa144943b12e7c52654961516822a7b783e8745ab")),
+            ("ghat-classes",
+             ("6adc71e869f797afc35a3731832b8d19fe623f8f231df704ef492cb0cd3bbf24",
+              "91346fdd90666eeab1ddd29a7dcaf14aeec7c06d320fc9c693a93a0d2dc60cd2")),
+            ("ghat-chartable",
+             ("2017bee76b6b5cb576ea96b0431b445a0c08d719959c21215afd422bbffb6281",
+              "39f125e34cc710fa0fd6cbb72f4f47d2451206dfe65ca308eefcdbfdf195c8bc")),
+            ("spin-decompose",
+             ("d91ea2653ec2ff624cc4c1fa44f8254587939006d8d24b8d434a2ad02edbadf3",
+              "f69152484dea1e5032cdb396b90dd4891b928b3d675f5522c066f5141d8d132b"))):
+        for fmt, digest in zip(("csv", "pretty"), digests):
+            code, out, err = run_cli(capsys, command, "--format", fmt)
+            assert code == 0 and err == "", (command, fmt)
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (command, fmt)
+
+
 def test_spin_nu_diagonal(capsys):
     code, out, err = run_cli(capsys, "spin-nu", "--format", "json",
                              "--phat", DIAG_PHAT, "--x", APEX_JSON)
@@ -250,6 +270,22 @@ def test_spin_nu_json(capsys):
         moved, '"oracle": "0.809016994374947",\n "agreement": "4.440892098500626e-16"')
     assert hashlib.sha256(before.encode("utf-8")).hexdigest() == (
         "33496f598b4c0812bcaf957ad334a11f89aa61e357cc2d5538d4efd35259febe")
+
+
+def test_spin_nu_csv_and_pretty(capsys):
+    for dim, payload, digests in (
+            ("4", far_fixed_point_payload,
+             ("a4de92e9a508e898c23c816b4229742c51145fa9a7cd107e566ba827e2ca487f",
+              "18dddb6a6abf4abc2de94a7de668a2651623b233b61ccf84b47786a7a4e43c51")),
+            ("2", far_fixed_point_payload_2d,
+             ("5dc046be4eb22df1097bc79ee87fa7442c686ef456ed61acf49f29e2677b84db",
+              "2b6f4ffb5fba528f071159dd97f148057c675bf796557ff78ace7d7966e66f11"))):
+        phat, x = payload(5)
+        for fmt, digest in zip(("csv", "pretty"), digests):
+            code, out, err = run_cli(capsys, "spin-nu", "--dim", dim,
+                                     "--format", fmt, "--phat", phat, "--x", x)
+            assert code == 0 and err == "", (dim, fmt, err)
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (dim, fmt)
 
 
 def test_spin_nu_kappa_coordinates(capsys):
