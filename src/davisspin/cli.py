@@ -37,59 +37,48 @@ def _pretty_block(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
+def _records(header, rows) -> list[dict]:
+    return [dict(zip(header, row)) for row in rows]
+
+
+def _render(args, payload, tables, pretty: str | None = None) -> int:
+    """Writes payload as JSON, or the (header, rows) tables as CSV or pretty
+    blocks one blank line apart, unless the command gives its own pretty text."""
+    if args.format == "json":
+        text = json.dumps(payload, ensure_ascii=False, indent=1) + "\n"
+    elif args.format == "csv":
+        text = "\n".join(_csv_block(*table) for table in tables)
+    elif pretty is None:
+        text = "\n".join(_pretty_block(*table) for table in tables)
+    else:
+        text = pretty
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _json_dump(payload) -> str:
-    return json.dumps(payload, ensure_ascii=False, indent=1) + "\n"
-
-
-def _emit_rows(args, header, rows) -> int:
-    """One table as a JSON list of objects, a CSV block or a pretty block."""
-    if args.format == "json":
-        text = _json_dump([dict(zip(header, row)) for row in rows])
-    elif args.format == "csv":
-        text = _csv_block(header, rows)
-    else:
-        text = _pretty_block(header, rows)
-    _emit(text, args.output)
     return 0
 
 
 def _cmd_icosa_table(args) -> int:
+    class_header = ("class", "order", "size", "re")
     class_rows = [(label, icosa.CLASS_ORDERS[label], icosa.CLASS_SIZES[label],
                    str(icosa.CLASS_RE[label])) for label in icosa.CLASS_LABELS]
     char_rows = [(rep, *(str(icosa.char_2I(rep, label))
                          for label in icosa.CLASS_LABELS))
                  for rep in icosa.REP_LABELS]
-    class_header = ("class", "order", "size", "re")
-    char_header = ("character", *icosa.CLASS_LABELS)
-    if args.format == "json":
-        text = _json_dump({
-            "classes": [dict(zip(class_header, row)) for row in class_rows],
-            "characters": [{"label": row[0],
-                            "values": dict(zip(icosa.CLASS_LABELS, row[1:]))}
-                           for row in char_rows],
-        })
-    elif args.format == "csv":
-        text = (_csv_block(class_header, class_rows) + "\n"
-                + _csv_block(char_header, char_rows))
-    else:
-        text = (_pretty_block(class_header, class_rows) + "\n"
-                + _pretty_block(char_header, char_rows))
-    _emit(text, args.output)
-    return 0
+    return _render(args, {
+        "classes": _records(class_header, class_rows),
+        "characters": [{"label": row[0], "values": dict(zip(icosa.CLASS_LABELS, row[1:]))}
+                       for row in char_rows],
+    }, [(class_header, class_rows), (("character", *icosa.CLASS_LABELS), char_rows)])
 
 
 def _cmd_ghat_classes(args) -> int:
-    return _emit_rows(args, ("class", "order", "size", "minus"),
-                      [(cls.name, cls.order, cls.size, ghat.minus_class(cls).name)
-                       for cls in ghat.conjugacy_classes()])
+    header = ("class", "order", "size", "minus")
+    rows = [(cls.name, cls.order, cls.size, ghat.minus_class(cls).name)
+            for cls in ghat.conjugacy_classes()]
+    return _render(args, _records(header, rows), [(header, rows)])
 
 
 def _cmd_ghat_chartable(args) -> int:
@@ -100,64 +89,42 @@ def _cmd_ghat_chartable(args) -> int:
             return 1
     chars = reptheory.chartable_ghat()
     class_names = [cls.name for cls in ghat.conjugacy_classes()]
-    if args.format == "json":
-        text = _json_dump({
-            "classes": class_names,
-            "characters": [{
-                "label": char.label.render(),
-                "dimension": int(char.dimension.a),
-                "spinorial": char.spinorial,
-                "values": [str(value) for value in char.values],
-            } for char in chars],
-        })
-    elif args.format == "csv":
-        rows = [(char.label.render(), *(str(value) for value in char.values))
-                for char in chars]
-        text = _csv_block(("character", *class_names), rows)
-    else:
-        blocks = []
-        for char in chars:
-            values = ", ".join(f"{name}: {value}" for name, value
-                               in zip(class_names, char.values))
-            blocks.append(f"{char.label.render()} (dim {int(char.dimension.a)}, "
-                          f"spinorial {char.spinorial})\n  {values}")
-        text = "\n".join(blocks) + "\n"
-    _emit(text, args.output)
-    return 0
+    rows = [(char.label.render(), *(str(value) for value in char.values)) for char in chars]
+    pretty = "".join(
+        f"{label} (dim {int(char.dimension.a)}, spinorial {char.spinorial})\n  "
+        + ", ".join(f"{name}: {value}" for name, value in zip(class_names, values)) + "\n"
+        for char, (label, *values) in zip(chars, rows))
+    return _render(args, {
+        "classes": class_names,
+        "characters": [{"label": label, "dimension": int(char.dimension.a),
+                        "spinorial": char.spinorial, "values": values}
+                       for char, (label, *values) in zip(chars, rows)],
+    }, [(("character", *class_names), rows)], pretty)
 
 
 def _cmd_spin_davis(args) -> int:
     header = ("class", "order", "size", "fp_count", "spin", "provenance", "minus")
-    return _emit_rows(args, header, [(row.name, row.order, row.size, row.fp_label(),
-                                      str(row.spin), row.provenance, row.minus)
-                                     for row in spinindex.davis_table()])
+    rows = [(row.name, row.order, row.size, row.fp_label(), str(row.spin),
+             row.provenance, row.minus) for row in spinindex.davis_table()]
+    return _render(args, _records(header, rows), [(header, rows)])
 
 
 def _cmd_spin_decompose(args) -> int:
     decomposition = spinindex.decompose_davis_index()
     chars = reptheory.chartable_ghat()
+    header = ("character", "dimension", "multiplicity")
     rows = [(char.label.render(), int(char.dimension.a), multiplicity)
             for char, multiplicity in zip(chars, decomposition.multiplicities)]
-    summary = (f"+ {decomposition.plus.label.render()}, "
-               f"- {decomposition.minus.label.render()}; "
-               f"dim H = {decomposition.harmonic_minimum} "
-               f"+ {decomposition.harmonic_step}k")
-    if args.format == "json":
-        text = _json_dump({
-            "plus": decomposition.plus.label.render(),
-            "minus": decomposition.minus.label.render(),
-            "harmonic_minimum": decomposition.harmonic_minimum,
-            "harmonic_step": decomposition.harmonic_step,
-            "multiplicities": [dict(zip(("character", "dimension", "multiplicity"),
-                                        row)) for row in rows],
-        })
-    elif args.format == "csv":
-        text = _csv_block(("character", "dimension", "multiplicity"), rows)
-    else:
-        text = summary + "\n\n" + _pretty_block(
-            ("character", "dimension", "multiplicity"), rows)
-    _emit(text, args.output)
-    return 0
+    plus, minus = decomposition.plus.label.render(), decomposition.minus.label.render()
+    return _render(args, {
+        "plus": plus,
+        "minus": minus,
+        "harmonic_minimum": decomposition.harmonic_minimum,
+        "harmonic_step": decomposition.harmonic_step,
+        "multiplicities": _records(header, rows),
+    }, [(header, rows)],
+        f"+ {plus}, - {minus}; dim H = {decomposition.harmonic_minimum} "
+        f"+ {decomposition.harmonic_step}k\n\n" + _pretty_block(header, rows))
 
 
 def _parse_scalar(payload, kappa: bool = True):
@@ -211,6 +178,8 @@ def _cmd_spin_nu(args) -> int:
             oracle = float(spinindex.nu_numeric_oracle(matrix, point))
             numeric = exact.real().real
         else:
+            if "scale_sq" in phat_payload:
+                raise ValueError('--phat "scale_sq": a --dim 2 matrix takes no scale factor')
             matrix = SpinMatrix2(*(json_entry(GoldenComplex.from_json, phat_payload,
                                               key, "--phat") for key in keys))
             point = HyperboloidPoint2(_parse_scalars(x_payload, "--x", kappa=False))
@@ -233,17 +202,11 @@ def _cmd_spin_nu(args) -> int:
         sys.stderr.write(f"numeric oracle disagrees with the exact nu = {exact.value}: "
                          f"oracle {oracle!r}, gap {agreement!r}\n")
         return 1
-    if args.format == "json":
-        text = _json_dump({"nu": str(exact.value), "nu_json": exact.value.to_json(),
-                           "oracle": repr(oracle), "agreement": repr(agreement)})
-    elif args.format == "csv":
-        text = _csv_block(("nu", "oracle", "agreement"),
-                          [(str(exact.value), repr(oracle), repr(agreement))])
-    else:
-        text = (f"nu = {exact.value}\noracle = {oracle!r}\n"
-                f"agreement = {agreement!r}\n")
-    _emit(text, args.output)
-    return 0
+    return _render(args, {"nu": str(exact.value), "nu_json": exact.value.to_json(),
+                          "oracle": repr(oracle), "agreement": repr(agreement)},
+                   [(("nu", "oracle", "agreement"),
+                     [(str(exact.value), repr(oracle), repr(agreement))])],
+                   f"nu = {exact.value}\noracle = {oracle!r}\nagreement = {agreement!r}\n")
 
 
 def _verify_checks():
@@ -453,18 +416,15 @@ def _verify_checks():
 
 
 def _cmd_verify(args) -> int:
-    report = []
-    failures = 0
+    rows = []
     for name, check in sorted(_verify_checks()):
         try:
-            detail = check()
-            report.append({"check": name, "status": "pass", "detail": detail})
+            rows.append((name, "pass", check()))
         except Exception as error:  # noqa: BLE001 - report every failure kind
-            failures += 1
-            report.append({"check": name, "status": "fail",
-                           "detail": f"{type(error).__name__}: {error}"})
-    _emit(_json_dump(report), args.output)
-    return 1 if failures else 0
+            rows.append((name, "fail", f"{type(error).__name__}: {error}"))
+    header = ("check", "status", "detail")
+    _render(args, _records(header, rows), [(header, rows)])
+    return 1 if any(status == "fail" for _, status, _ in rows) else 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -483,10 +443,11 @@ def _parser() -> argparse.ArgumentParser:
                     "symmetry group of the Davis hyperbolic 4-manifold.")
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, handler, help_text, check_flag=False, nu_flags=False):
+    def add(name, handler, help_text, check_flag=False, nu_flags=False,
+            default_format="pretty"):
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--format", choices=("csv", "json", "pretty"),
-                         default="pretty")
+                         default=default_format)
         sub.add_argument("--output", default=None,
                          help="write to this path instead of stdout")
         if check_flag:
@@ -515,7 +476,7 @@ def _parser() -> argparse.ArgumentParser:
     add("spin-nu", _cmd_spin_nu,
         "evaluate one spin defect at an isolated fixed point", nu_flags=True)
     add("verify", _cmd_verify,
-        "run the full invariant suite and emit a JSON report")
+        "run the full invariant suite and emit its report", default_format="json")
     return parser
 
 

@@ -9,7 +9,7 @@ from math import lcm
 from typing import Sequence, Union
 
 from .exactfield import (GoldenNumber, GoldenComplex, KAPPA_RADICAND, QuadExtNumber,
-                         Scalar, ONE, TAU, ZERO, power)
+                         Scalar, ONE, ZERO, power)
 
 ScalarLike = Union[Scalar, int, Fraction]
 
@@ -349,26 +349,30 @@ class _SpinMatrix:
         return power(self, exponent, self._with(one, zero, zero, one, ONE, True))
 
     def normalized(self):
+        """This matrix with mu taken into its entries, or None when scale_sq
+        is not a square in Q(tau)."""
         if self._scale_sq == ONE:
             return self
         root = self._scale_sq.sqrt()
-        if root is not None:
-            factor, residue = root, ONE
-        else:
-            reduced = self._scale_sq / (TAU - 1)
-            root = reduced.sqrt()
-            if root is None:
-                raise ValueError("scale square is not normalizable over Q(tau)")
-            factor, residue = root, TAU - 1
-        return self._with(self._a * factor, self._b * factor, self._c * factor,
-                          self._d * factor, residue, self._member)
+        if root is None:
+            return None
+        return self._with(self._a * root, self._b * root, self._c * root,
+                          self._d * root, ONE, self._member)
 
     def __eq__(self, other: object) -> bool:
+        """mu A = nu B exactly when A = r B for a real r > 0 with
+        r^2 mu^2 = nu^2; r is read off one nonzero entry of B."""
         if type(other) is not type(self):
             return NotImplemented
-        lhs, rhs = self.normalized(), other.normalized()
-        return (lhs._scale_sq == rhs._scale_sq and lhs._a == rhs._a
-                and lhs._b == rhs._b and lhs._c == rhs._c and lhs._d == rhs._d)
+        lhs = (self._a, self._b, self._c, self._d)
+        rhs = (other._a, other._b, other._c, other._d)
+        pivot = next((i for i, entry in enumerate(rhs) if not entry.is_zero()), None)
+        if pivot is None:
+            return all(entry.is_zero() for entry in lhs)
+        x, y = lhs[pivot], rhs[pivot]
+        r = (x * y.conjugate()).re / (y * y.conjugate()).re
+        return (r.sign() > 0 and r * r * self._scale_sq == other._scale_sq
+                and all(u == v * r for u, v in zip(lhs, rhs)))
 
     def __str__(self) -> str:
         head = "" if self._scale_sq == ONE else f"sqrt({self._scale_sq}) * "

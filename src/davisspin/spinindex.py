@@ -14,7 +14,7 @@ from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
 
-from .exactfield import GoldenComplex, GoldenNumber, ONE, QuadExtNumber
+from .exactfield import GoldenComplex, GoldenNumber, QuadExtNumber
 from .quatmat import (HyperboloidPoint, LorentzMatrix5, Quaternion, SpinMatrix2,
                       SpinMatrix4, _complex_slice, _eta4_rows)
 from . import ghat, icosa, reptheory
@@ -80,7 +80,7 @@ def nu_isolated_4d(fp: IsolatedFixedPoint4) -> SpinValue:
     """Spin defect at an isolated fixed point: the diagonal formula at the
     apex, after the exact conjugation that carries the point to the apex."""
     matrix = fp.phat.normalized()
-    if matrix.scale_sq != ONE:
+    if matrix is None:
         raise NotApplicableError(
             "exact spin formula needs matrix entries in the golden ring")
     return nu_diag_4d(*_apex_form(matrix, fp.x))

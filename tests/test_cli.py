@@ -1,6 +1,7 @@
 """End-to-end exercises of the command-line front end: every subcommand in
 every output format, exit codes, deterministic output, and file emission."""
 
+import argparse
 import ast
 import csv
 import dataclasses
@@ -347,6 +348,18 @@ def test_spin_nu_non_isolated_exits_one(capsys):
     assert "numeric oracle" in err and err.count("\n") == 1, err
 
 
+def test_spin_nu_scale_outside_the_golden_field_exits_one(capsys):
+    """sqrt(3) diag(q, q), |q|^2 = 1/3, is a member whose scale 3 is not a
+    square in Q(tau), so the exact formula does not apply."""
+    q = quaternion_json(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
+    phat = {"a": q, "b": quaternion_json(0), "c": quaternion_json(0), "d": q,
+            "scale_sq": golden_json(3)}
+    code, out, err = run_cli(capsys, "spin-nu", "--phat", json.dumps(phat),
+                             "--x", APEX_JSON)
+    assert code == 1 and out == ""
+    assert err == "exact spin formula needs matrix entries in the golden ring\n", err
+
+
 def test_spin_nu_oracle_disagreement_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(spinindex, "nu_numeric_oracle",
                         lambda phat, x: 0.25 + 1e-6)
@@ -465,6 +478,9 @@ def test_spin_nu_incomplete_payload_exits_two(capsys):
          "expected a --x list of 3 scalars, got dict"),
         (("--phat", DIAG_PHAT, "--x", "-1e+16"),
          "expected a --x list of 5 scalars, got float"),
+        # a scale factor belongs to dimension 4 only
+        (("--dim", "2", "--phat", json.dumps(dict(diag_2d, scale_sq=golden_json(-7)))),
+         '--phat "scale_sq": a --dim 2 matrix takes no scale factor'),
     ]
     for args, message in cases:
         if "--x" not in args:
@@ -583,6 +599,45 @@ def test_verify_report(capsys):
         assert entry["detail"]
     assert "eta-homomorphism" in names
     assert "spin-two-fixed-points" in names
+
+
+def test_verify_csv_and_pretty(capsys):
+    code, report, err = run_cli(capsys, "verify", "--format", "json")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == (
+        "6d657f5a60ae1f50efaf4020b9a67b19f095c2b92a1baec695c19fa7df63b992")
+    rows = [[entry["check"], entry["status"], entry["detail"]]
+            for entry in json.loads(report)]
+    assert len(rows) == 15
+    code, out, err = run_cli(capsys, "verify", "--format", "csv")
+    assert code == 0 and err == ""
+    assert parse_csv(out) == [["check", "status", "detail"], *rows]
+    code, out, err = run_cli(capsys, "verify", "--format", "pretty")
+    assert code == 0 and err == ""
+    header, rule, *lines = out.splitlines()
+    assert header.split() == ["check", "status", "detail"]
+    assert set(rule) == {"-", " "}
+    assert [line.split(None, 2) for line in lines] == rows
+
+
+def test_every_subcommand_renders_three_formats(capsys):
+    phat, x = far_fixed_point_payload(5)
+    phat_2d, x_2d = far_fixed_point_payload_2d(5)
+    commands = [("icosa-table",), ("ghat-classes",), ("ghat-chartable",),
+                ("spin-davis",), ("spin-decompose",), ("verify",),
+                ("spin-nu", "--phat", phat, "--x", x),
+                ("spin-nu", "--dim", "2", "--phat", phat_2d, "--x", x_2d)]
+    subcommands = next(action.choices for action in cli._parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    assert {argv[0] for argv in commands} == set(subcommands)
+    for argv in commands:
+        outputs = []
+        for fmt in ("json", "csv", "pretty"):
+            code, out, err = run_cli(capsys, *argv, "--format", fmt)
+            assert code == 0 and err == "", (argv[:3], fmt, err)
+            outputs.append(out)
+        json.loads(outputs[0])
+        assert len(set(outputs)) == 3, argv[:3]
 
 
 def _failed_detail(monkeypatch, capsys, name):

@@ -124,6 +124,20 @@ def test_spinmatrix4_scale_factor():
     assert square == -identity
 
 
+def test_spinmatrix4_equality_without_square_roots():
+    """sqrt(3) diag(q, q) with |q|^2 = 1/3: its scale is not a square in
+    Q(tau), yet it equals itself and its half taken with scale 12."""
+    q = Quaternion(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3), 0)
+    m = SpinMatrix4(q, Quaternion(), Quaternion(), q, scale_sq=3)
+    assert m.normalized() is None
+    half = q * Fraction(1, 2)
+    assert m == m
+    assert m == SpinMatrix4(half, Quaternion(), Quaternion(), half, scale_sq=12)
+    assert m != -m
+    assert m != SpinMatrix4(q, Quaternion(), Quaternion(), q, scale_sq=12,
+                            validate=False)
+
+
 def test_eta4_identity_and_minus_identity():
     identity = SpinMatrix4.diagonal(QUAT_ONE, QUAT_ONE)
     assert eta4(identity) == LorentzMatrix5.identity()
