@@ -5,6 +5,7 @@ models, and the disc model that the complex 2x2 group acts on."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from typing import Sequence, Union
 
@@ -126,27 +127,6 @@ def _mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]):
                  for i in range(n))
 
 
-def _mat_det(rows) -> Scalar:
-    n = len(rows)
-    work = [list(r) for r in rows]
-    det: Scalar = GoldenNumber(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
-        if pivot is None:
-            return GoldenNumber(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det = det * work[col][col]
-        inv = work[col][col].inverse()
-        for r in range(col + 1, n):
-            if work[r][col].is_zero():
-                continue
-            factor = work[r][col] * inv
-            work[r] = [work[r][c] - factor * work[col][c] for c in range(n)]
-    return det
-
-
 def _integer_form(scalars):
     """The scalars as integer coordinates on the basis 1, tau, kappa,
     tau*kappa over one common denominator: (denominator, ones, taus, kappas,
@@ -209,16 +189,19 @@ def _lorentz_gram(m):
             for i in range(5) for j in range(i, 5)]
 
 
-def _minkowski_check(rows) -> bool:
-    """Whether the columns are orthonormal for x1^2+...+x4^2-x5^2: the Gram
-    matrix M^T J M, computed on integer coordinates over the common
-    denominator D, is D^2 J exactly."""
-    denominator, *coords = _integer_form([v for row in rows for v in row])
-    ones, taus, kappas, tau_kappas = _quadratic(_lorentz_gram, *coords)
-    square = denominator * denominator
-    expected = [(square if j < 4 else -square) if i == j else 0
-                for i in range(5) for j in range(i, 5)]
-    return ones == expected and not (any(taus) or any(kappas) or any(tau_kappas))
+def _block_minors(m):
+    """The 2x2 minors of rows 1-2, then of rows 3-4, of the upper-left 4x4
+    block of the 5x5 matrix with entries m in row order, on the column pairs
+    of combinations(range(4), 2) in order."""
+    return [m[5 * r + j] * m[5 * r + 5 + k] - m[5 * r + k] * m[5 * r + 5 + j]
+            for r in (0, 2) for j, k in combinations(range(4), 2)]
+
+
+def _laplace(minors):
+    """[det] of that block from _block_minors, by the Laplace expansion along
+    rows 1-2: the columns complementary to pair i are pair 5 - i."""
+    return [sum(sign * minors[i] * minors[11 - i]
+                for i, sign in enumerate((1, -1, 1, 1, -1, 1)))]
 
 
 class LorentzMatrix5:
@@ -230,13 +213,24 @@ class LorentzMatrix5:
         self._rows = tuple(tuple(_scalar(v) for v in row) for row in rows)
         if len(self._rows) != 5 or any(len(r) != 5 for r in self._rows):
             raise InvalidElementError("expected a 5x5 matrix")
-        if validate:
-            if not _minkowski_check(self._rows):
-                raise InvalidElementError("matrix does not preserve the Lorentz form")
-            if self._rows[4][4].sign() < 0:
-                raise InvalidElementError("matrix does not preserve the future cone")
-            if not _mat_det(self._rows) == ONE:
-                raise InvalidElementError("matrix does not have determinant one")
+        if not validate:
+            return
+        # The checks run on integer coordinates over one denominator D.
+        denominator, *coords = _integer_form([v for row in self._rows for v in row])
+        ones, *rest = _quadratic(_lorentz_gram, *coords)
+        square = denominator * denominator
+        if ones != [(square if j < 4 else -square) if i == j else 0
+                    for i in range(5) for j in range(i, 5)] or any(map(any, rest)):
+            raise InvalidElementError("matrix does not preserve the Lorentz form")
+        if self._rows[4][4].sign() < 0:
+            raise InvalidElementError("matrix does not preserve the future cone")
+        # Then M^-1 = J M^T J, so by Jacobi's identity M55 = (M^-1)_55 =
+        # det(A)/det(M) for the upper-left 4x4 block A: det(M) = 1 exactly
+        # when det(A) = M55, and det(A) D^4 comes from two quadratic forms.
+        block = _quadratic(_laplace, *_quadratic(_block_minors, *coords))
+        cube = square * denominator
+        if [part[0] for part in block] != [part[24] * cube for part in coords]:
+            raise InvalidElementError("matrix does not have determinant one")
 
     @property
     def rows(self):

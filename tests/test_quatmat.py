@@ -2,6 +2,7 @@
 complex slice, and the hyperboloid and disc models they act on; the disc
 model is tied to eta4 by embedding it in the x1, x2, x5 slice."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -269,8 +270,9 @@ def test_integer_eta4_matches_the_exact_scalar_forms():
 
 def test_lorentz_form_check_rejects_each_moved_entry():
     """Moving one entry of a recorded image by tau/7, by a kappa part or by
-    10^-30 breaks the Lorentz form; negating a space row keeps the form and
-    is caught by the determinant."""
+    10^-30 breaks the Lorentz form; negating one space row or swapping two
+    keeps the form and is caught by the determinant, and negating two is a
+    rotation again."""
     sigma, _ = spinindex.davis_sigma_data()
     images = [image for _, image in spinindex.davis_rotation_lifts().values()]
     moves = (TAU / 7, KAPPA, GoldenNumber(Fraction(1, 10 ** 30)))
@@ -284,10 +286,19 @@ def test_lorentz_form_check_rejects_each_moved_entry():
                     with pytest.raises(InvalidElementError,
                                        match="^matrix does not preserve the Lorentz form$"):
                         LorentzMatrix5(moved)
-        flipped = [[-v for v in row] if i == 0 else row for i, row in enumerate(rows)]
-        with pytest.raises(InvalidElementError,
-                           match="^matrix does not have determinant one$"):
-            LorentzMatrix5(flipped)
+        for i in range(4):
+            flipped = [[-v for v in row] if k == i else row for k, row in enumerate(rows)]
+            with pytest.raises(InvalidElementError,
+                               match="^matrix does not have determinant one$"):
+                LorentzMatrix5(flipped)
+        for i, j in itertools.combinations(range(4), 2):
+            swapped = rows[:]
+            swapped[i], swapped[j] = rows[j], rows[i]
+            with pytest.raises(InvalidElementError,
+                               match="^matrix does not have determinant one$"):
+                LorentzMatrix5(swapped)
+            LorentzMatrix5([[-v for v in row] if k in (i, j) else row
+                            for k, row in enumerate(rows)])
 
 
 def test_products_of_non_members_are_not_marked_members():
