@@ -9,6 +9,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from math import lcm
 
 from .exactfield import power
@@ -86,30 +87,24 @@ def _coset_name(label: str) -> str:
     return f"[1×{label}]"
 
 
+@lru_cache(maxsize=None)
+def _class_spellings() -> dict[str, str]:
+    """Every accepted spelling of a class name with its canonical form: x×y
+    and x×y+y*×x* for each pair of 2I labels, and the coset names."""
+    spellings = {_coset_name(label): _coset_name(label) for label in icosa.CLASS_LABELS}
+    for x, y in product(icosa.CLASS_LABELS, repeat=2):
+        for spelling in (f"{x}×{y}", f"{x}×{y}+{star_label(y)}×{star_label(x)}"):
+            spellings[spelling] = _pair_name(x, y)
+    return spellings
+
+
 def normalize_class_name(name: str) -> str:
     """Canonical form of a class name, independent of the order in which a
     merged pair was written."""
-    if not isinstance(name, str):
+    canonical = _class_spellings().get(name.strip()) if isinstance(name, str) else None
+    if canonical is None:
         raise KeyError(f"not a class name: {name!r}")
-    text = name.strip()
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1]
-        left, _, label = inner.partition("×")
-        if left != "1" or label not in icosa.CLASS_LABELS:
-            raise KeyError(f"not a class name: {name!r}")
-        return _coset_name(label)
-    parts = text.split("+")
-    pairs = []
-    for part in parts:
-        x, sep, y = part.partition("×")
-        if not sep or x not in icosa.CLASS_LABELS or y not in icosa.CLASS_LABELS:
-            raise KeyError(f"not a class name: {name!r}")
-        pairs.append((x, y))
-    if len(pairs) == 1:
-        return _pair_name(*pairs[0])
-    if len(pairs) == 2 and pairs[1] == (star_label(pairs[0][1]), star_label(pairs[0][0])):
-        return _pair_name(*pairs[0])
-    raise KeyError(f"not a class name: {name!r}")
+    return canonical
 
 
 # (p, q, 1) squares to (x, q*alpha(p), 0) with x = p*alpha^-1(q), and it is

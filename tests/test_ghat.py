@@ -2,6 +2,7 @@
 triples, conjugacy classes, minus-pairing, and power maps."""
 
 import ast
+import itertools
 import random
 from collections import Counter
 from pathlib import Path
@@ -225,6 +226,21 @@ def test_normalize_class_name():
         ghat.normalize_class_name("7×1")
     with pytest.raises(KeyError):
         ghat.normalize_class_name("[2×3]")
+    with pytest.raises(KeyError, match="not a class name"):
+        ghat.normalize_class_name(3)
+    labels = icosa.CLASS_LABELS
+    pair_names = {ghat.normalize_class_name(f" {x}×{y}\n") for x in labels for y in labels}
+    coset_names = {ghat.normalize_class_name(f"[1×{x}]") for x in labels}
+    assert pair_names | coset_names == {cls.name for cls in ghat.conjugacy_classes()}
+    accepted = []
+    for x, y, z, w in itertools.product(labels, repeat=4):
+        try:
+            accepted.append(ghat.normalize_class_name(f"{x}×{y}+{z}×{w}"))
+        except KeyError:
+            continue
+        assert accepted[-1] == ghat.normalize_class_name(f"{x}×{y}")
+        assert (z, w) == (ghat.star_label(y), ghat.star_label(x))
+    assert len(accepted) == 81
 
 
 def test_spot_class_examples():
