@@ -200,32 +200,23 @@ class GoldenNumber:
         return _sign_u_plus_v_sqrt5(2 * self._a + self._b, self._b)
 
     def sqrt(self) -> GoldenNumber | None:
+        """The positive root in Q(tau), or None. A root y has norm n and trace
+        t with n^2 = N(self) and t^2 = Tr(self) + 2n, and y^2 - t y + n = 0
+        gives y = (self + n)/t; when t = 0, y = c*sqrt(5) with 5c^2 = self."""
         if self.is_zero():
             return GoldenNumber(0, 0)
         if self.sign() < 0:
             return None
-        big_a, big_b = self._a, self._b
-        if big_b == 0:
-            root = _fraction_sqrt(big_a)
-            if root is not None:
-                return GoldenNumber(root, 0)
-        # (a + b*tau)**2 = self  with  u = b**2  solving  5u**2 - (2B+4A)u + B**2 = 0
-        disc = (2 * big_b + 4 * big_a) ** 2 - 20 * big_b * big_b
-        disc_root = _fraction_sqrt(disc)
-        if disc_root is None:
+        norm = _fraction_sqrt(self._a * self._a + self._a * self._b - self._b * self._b)
+        if norm is None:
             return None
-        for branch in (disc_root, -disc_root):
-            u = (2 * big_b + 4 * big_a + branch) / 10
-            if u <= 0:
-                continue
-            b = _fraction_sqrt(u)
-            if b is None:
-                continue
-            a = (big_b - u) / (2 * b)
-            for candidate in (GoldenNumber(a, b), GoldenNumber(-a, -b)):
-                if candidate * candidate == self and candidate.sign() > 0:
-                    return candidate
-        return None
+        for n in (norm, -norm):
+            trace = _fraction_sqrt(2 * self._a + self._b + 2 * n)
+            if trace:
+                root = (self + n) / trace
+                return root if root.sign() > 0 else -root
+        c = _fraction_sqrt(self._a / 5) if self._b == 0 else None
+        return None if c is None else GoldenNumber(-c, 2 * c)
 
     def __str__(self) -> str:
         return (f"{self._a.numerator}/{self._a.denominator}"

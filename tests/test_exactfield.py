@@ -84,6 +84,15 @@ def test_sqrt_of_square_roundtrip(x):
     assert root.sign() >= 0
 
 
+@given(x=st.one_of(golden_st, golden_st.map(lambda y: y * y),
+                   golden_st.map(lambda y: -y * y), fractions_st.map(lambda c: 5 * c * c)))
+def test_sqrt_is_none_or_the_positive_root(x):
+    """sqrt() finds the root from the norm and the trace, or c*sqrt(5) when
+    the trace vanishes; whatever it returns must square to x and be positive."""
+    root = GoldenNumber.coerce(x).sqrt()
+    assert root is None or (root * root == x and root.sign() == (0 if x == 0 else 1))
+
+
 def test_sqrt_examples():
     assert GoldenNumber(4).sqrt() == GoldenNumber(2)
     assert (TAU + 1).sqrt() == TAU
