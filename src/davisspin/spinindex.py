@@ -263,7 +263,8 @@ def davis_table() -> tuple[DavisSpinRow, ...]:
             raise DataInconsistencyError(
                 f"{row.name}: recorded minus class {row.minus} differs from "
                 f"computed {ghat.minus_class(cls).name}")
-        if row.minus == row.name and not row.spin.is_zero():
+        self_paired = row.minus == row.name
+        if self_paired and not row.spin.is_zero():
             raise DataInconsistencyError(
                 f"{row.name}: self-paired class must have spin 0")
         if row.provenance.startswith("forced-zero") and not row.spin.is_zero():
@@ -277,6 +278,18 @@ def davis_table() -> tuple[DavisSpinRow, ...]:
                 raise DataInconsistencyError(
                     f"{row.name}: recorded spin {row.spin} differs from the "
                     "two-fixed-point formula value")
+        for broken, rule in (
+                (self_paired != (row.provenance == "forced-zero-lemma71"),
+                 "a row is forced-zero-lemma71 exactly when it is self-paired"),
+                (row.provenance == "computed-lemma82" and fp_count != 2,
+                 "a computed-lemma82 row has fp_count 2"),
+                (row.provenance == "forced-zero-lemma72" and fp_count is not None,
+                 "a forced-zero-lemma72 row has fp_count inf"),
+                ("+" in row.name and not self_paired and fp_count == 2
+                 and row.provenance != "computed-lemma82",
+                 "a merged, non-self-paired row with fp_count 2 is computed-lemma82")):
+            if broken:
+                raise DataInconsistencyError(f"{row.name}: {rule}")
         rows[row.name] = row
     if len(rows) != 34:
         raise DataInconsistencyError(

@@ -811,7 +811,15 @@ def _override_row(name, field, change):
 @pytest.mark.parametrize("name, field, change, reason", [
     ("5A×5A+5B×5B", "provenance", "computed-lemma82", "classes 5A and 5A share a real part"),
     ("3×3", "ord", 4, "recorded order/size 7/400 differ from computed 3/400"),
-    ("3×3", "spin", (2, 0), "forced-zero-lemma72 row must have spin 0")])
+    ("3×3", "spin", (2, 0), "forced-zero-lemma72 row must have spin 0"),
+    ("4×4", "provenance", "recorded-paper-data",
+     "a row is forced-zero-lemma71 exactly when it is self-paired"),
+    ("1×1", "provenance", "forced-zero-lemma71",
+     "a row is forced-zero-lemma71 exactly when it is self-paired"),
+    ("1×3+3×1", "fp_count", "inf", "a computed-lemma82 row has fp_count 2"),
+    ("3×3", "fp_count", 2, "a forced-zero-lemma72 row has fp_count inf"),
+    ("5A×10B+10A×5B", "fp_count", 2,
+     "a merged, non-self-paired row with fp_count 2 is computed-lemma82")])
 def test_data_override_contradicting_the_group_names_the_row(
         tmp_path, monkeypatch, capsys, name, field, change, reason):
     bad = tmp_path / "table.json"
