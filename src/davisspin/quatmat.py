@@ -7,7 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Sequence, Union
+from typing import Union
 
 from .exactfield import (GoldenNumber, GoldenComplex, KAPPA_RADICAND, QuadExtNumber,
                          Scalar, ONE, ZERO, power)
@@ -64,6 +64,10 @@ class Quaternion:
             return Quaternion(*(s * other for s in self._coords))
         if not isinstance(other, Quaternion):
             return NotImplemented
+        if self.is_zero() or other.is_zero():
+            # the zero the full product gives: kappa-typed if any coordinate is
+            kappa = any(isinstance(c, QuadExtNumber) for c in self._coords + other._coords)
+            return Quaternion(*[QuadExtNumber() if kappa else ZERO] * 4)
         w1, x1, y1, z1 = self._coords
         w2, x2, y2, z2 = other._coords
         return Quaternion(
@@ -118,15 +122,6 @@ class Quaternion:
 QUAT_ONE = Quaternion(1, 0, 0, 0)
 
 
-def _mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]):
-    """Matrix product over any ring of exact scalars: each sum starts from
-    its first product, so the entry type is the scalars' own."""
-    n, m, p = len(a), len(b), len(b[0])
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(1, m)),
-                           start=a[i][0] * b[0][j]) for j in range(p))
-                 for i in range(n))
-
-
 def _integer_form(scalars):
     """The scalars as integer coordinates on the basis 1, tau, kappa,
     tau*kappa over one common denominator: (denominator, ones, taus, kappas,
@@ -138,6 +133,18 @@ def _integer_form(scalars):
     ones, taus, kappas, tau_kappas = ([f.numerator * (denominator // f.denominator)
                                        for f in column] for column in zip(*rationals))
     return denominator, ones, taus, kappas, tau_kappas
+
+
+def _exact(denominator, parts, kappa, width):
+    """The exact scalars (ones + taus*tau + (kappas + tau_kappas*tau)*kappa) /
+    denominator of parts = (ones, taus, kappas, tau_kappas), in rows of width:
+    a QuadExtNumber where kappa holds, a GoldenNumber elsewhere."""
+    def golden(p: int, q: int) -> GoldenNumber:
+        return GoldenNumber(Fraction(p, denominator), Fraction(q, denominator))
+
+    entries = [QuadExtNumber(golden(p, q), golden(r, s)) if k else golden(p, q)
+               for p, q, r, s, k in zip(*parts, kappa)]
+    return tuple(tuple(entries[i:i + width]) for i in range(0, len(entries), width))
 
 
 # kappa^2 = 1 + 3*tau as the integer pair (1, 3)
@@ -179,6 +186,22 @@ def _quadratic(form, ones, taus, kappas, tau_kappas):
     return ([a + k for a, k in zip(u0, k0)], [b + k for b, k in zip(u1, k1)],
             [e - a - c for a, c, e in zip(u0, v0, w0)],
             [f - b - d for b, d, f in zip(u1, v1, w1)])
+
+
+def _times(rows, columns):
+    """The product of the 5x5 rows and the 5 x p columns on integer
+    coordinates. As in a sum of exact products, an entry is a QuadExtNumber
+    exactly when a factor in its row or its column is one."""
+    p = len(columns[0])
+
+    def product_form(x):  # x: the 25 entries of rows, then the 5p of columns
+        return [sum(x[i + k] * x[25 + k * p + j] for k in range(5))
+                for i in range(0, 25, 5) for j in range(p)]
+
+    denominator, *coords = _integer_form([v for row in (*rows, *columns) for v in row])
+    kappa = [any(isinstance(v, QuadExtNumber) for v in (*row, *column))
+             for row in rows for column in zip(*columns)]
+    return _exact(denominator * denominator, _quadratic(product_form, *coords), kappa, p)
 
 
 def _lorentz_gram(m):
@@ -242,18 +265,16 @@ class LorentzMatrix5:
     def __mul__(self, other):
         if not isinstance(other, LorentzMatrix5):
             return NotImplemented
-        return LorentzMatrix5(_mat_mul(self._rows, other._rows), validate=False)
+        return LorentzMatrix5(_times(self._rows, other._rows), validate=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LorentzMatrix5):
             return NotImplemented
-        return all(a == b for ra, rb in zip(self._rows, other._rows)
-                   for a, b in zip(ra, rb))
+        return self._rows == other._rows
 
     def apply(self, point: HyperboloidPoint) -> HyperboloidPoint:
-        return HyperboloidPoint(tuple(
-            sum((self._rows[i][j] * point.coords[j] for j in range(5)),
-                start=GoldenNumber(0)) for i in range(5)))
+        column = _times(self._rows, [(v,) for v in point.coords])
+        return HyperboloidPoint(v for (v,) in column)
 
     def real(self) -> list[list[float]]:
         return [[v.real() for v in row] for row in self._rows]
@@ -292,21 +313,10 @@ class _SpinMatrix:
         result._scale_sq, result._member = scale_sq, member
         return result
 
-    @property
-    def a(self):
-        return self._a
-
-    @property
-    def b(self):
-        return self._b
-
-    @property
-    def c(self):
-        return self._c
-
-    @property
-    def d(self):
-        return self._d
+    a = property(lambda self: self._a)
+    b = property(lambda self: self._b)
+    c = property(lambda self: self._c)
+    d = property(lambda self: self._d)
 
     def is_member(self) -> bool:
         if self._member is None:
@@ -443,6 +453,11 @@ class BallPoint2:
     __repr__ = __str__
 
 
+def _hyperboloid_form(x):
+    """[x1^2 + ... + x(n-1)^2 - xn^2] for the n coordinates x."""
+    return [sum(v * v for v in x[:-1]) - x[-1] * x[-1]]
+
+
 class _HyperboloidPoint:
     """Point (x1,...,xn) with x1^2+...+x(n-1)^2-xn^2 = -1 and xn >= 1, n the
     subclass's size."""
@@ -455,10 +470,11 @@ class _HyperboloidPoint:
         self._coords = tuple(_scalar(v) for v in coords)
         if len(self._coords) != self._SIZE:
             raise DomainError(f"expected {self._SIZE} coordinates")
-        *space, time = self._coords
-        if sum(x * x for x in space) - time * time != -ONE:
+        denominator, *coords = _integer_form(self._coords)
+        ones, *rest = _quadratic(_hyperboloid_form, *coords)
+        if ones != [-denominator * denominator] or any(map(any, rest)):
             raise DomainError("point does not lie on the unit hyperboloid")
-        if (time - ONE).sign() < 0:
+        if (self._coords[-1] - ONE).sign() < 0:
             raise DomainError("point does not lie on the future sheet")
 
     @property
@@ -562,17 +578,8 @@ def eta4(A: SpinMatrix4) -> LorentzMatrix5:
         parts = [*_golden_times((s0, s1), *parts[:2]),
                  *_golden_times((s0, s1), *parts[2:])]
         denominator *= scale
-
-    def golden(p: int, q: int) -> GoldenNumber:
-        return GoldenNumber(Fraction(p, denominator), Fraction(q, denominator))
-
-    ones, taus, kappas, tau_kappas = parts
-    if any(isinstance(v, QuadExtNumber) for v in scalars):
-        entries = [QuadExtNumber(golden(*u), golden(*v)) for u, v in
-                   zip(zip(ones, taus), zip(kappas, tau_kappas))]
-    else:
-        entries = [golden(p, q) for p, q in zip(ones, taus)]
-    return LorentzMatrix5(tuple(entries[i:i + 5] for i in range(0, 25, 5)))
+    kappa = any(isinstance(v, QuadExtNumber) for v in scalars)
+    return LorentzMatrix5(_exact(denominator, parts, [kappa] * 25, 5))
 
 
 def _complex_slice(rows):

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import comb
+from operator import mul
 
 from .exactfield import GoldenComplex, GoldenNumber, ZERO
 from .quatmat import Quaternion
@@ -42,17 +43,9 @@ def _mat_kron(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _mat_sym_power(m: Matrix, k: int) -> Matrix:
-    a, b = m[0][0], m[0][1]
-    c, d = m[1][0], m[1][1]
-    powers_a = [_GC_ONE]
-    powers_b = [_GC_ONE]
-    powers_c = [_GC_ONE]
-    powers_d = [_GC_ONE]
-    for _ in range(k):
-        powers_a.append(powers_a[-1] * a)
-        powers_b.append(powers_b[-1] * b)
-        powers_c.append(powers_c[-1] * c)
-        powers_d.append(powers_d[-1] * d)
+    (a, b), (c, d) = m
+    powers_a, powers_b, powers_c, powers_d = (
+        list(accumulate(repeat(x, k), mul, initial=_GC_ONE)) for x in (a, b, c, d))
     rows = []
     for i in range(k + 1):
         row = []

@@ -9,6 +9,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -736,10 +737,61 @@ def test_verify_computes_each_exact_image_once(monkeypatch, capsys):
     assert counts == {"eta4": 67, "product": 240}
 
 
+def test_verify_products_skip_exact_scalar_work(monkeypatch, capsys):
+    """A work-count guard, once the tables, the Davis lifts and sigma are
+    built: one verify makes 23 LorentzMatrix5 products and 18 apply calls on
+    integer coordinates, so with no GoldenNumber multiplication, and 534 of
+    its 754 Quaternion products have a zero factor and multiply no scalars.
+    On exact scalars the Lorentz calls made 3,895 multiplications."""
+    icosa.tables()
+    spinindex.davis_rotation_lifts()
+    spinindex.davis_sigma_data()
+    counts = dict.fromkeys(("lorentz products", "apply", "lorentz golden products",
+                            "quaternion products", "zero factor"), 0)
+    golden = {"products": 0}
+    golden_mul = GoldenNumber.__mul__
+
+    def counting_mul(self, other):
+        golden["products"] += 1
+        return golden_mul(self, other)
+
+    def lorentz_counted(key, function):
+        def wrapper(*args):
+            before = golden["products"]
+            result = function(*args)
+            counts[key] += 1
+            counts["lorentz golden products"] += golden["products"] - before
+            return result
+        return wrapper
+
+    quaternion_mul = Quaternion.__mul__
+
+    def quaternion_counted(self, other):
+        before = golden["products"]
+        result = quaternion_mul(self, other)
+        if isinstance(other, Quaternion):
+            counts["quaternion products"] += 1
+            counts["zero factor"] += golden["products"] == before
+        return result
+
+    monkeypatch.setattr(GoldenNumber, "__mul__", counting_mul)
+    monkeypatch.setattr(GoldenNumber, "__rmul__", counting_mul)
+    monkeypatch.setattr(quatmat.LorentzMatrix5, "__mul__",
+                        lorentz_counted("lorentz products", quatmat.LorentzMatrix5.__mul__))
+    monkeypatch.setattr(quatmat.LorentzMatrix5, "apply",
+                        lorentz_counted("apply", quatmat.LorentzMatrix5.apply))
+    monkeypatch.setattr(Quaternion, "__mul__", quaternion_counted)
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 0, out
+    assert counts == {"lorentz products": 23, "apply": 18, "lorentz golden products": 0,
+                      "quaternion products": 754, "zero factor": 534}
+
+
 def test_spin_nu_never_reaches_the_lorentz_layer(monkeypatch, capsys):
     """A work-count guard on the separation the benchmark relies on: a 4-D
     and a 2-D spin-nu call (boosted fixed points, as in the spin-nu stream)
-    read the apex form, and neither calls eta4 nor builds a LorentzMatrix5."""
+    read the apex form, and neither calls eta4 nor builds, multiplies or
+    applies a LorentzMatrix5."""
     payloads = [("4", *far_fixed_point_payload(2)), ("2", *far_fixed_point_payload_2d(2))]
     counts = {"eta4": 0, "LorentzMatrix5": 0}
 
@@ -752,8 +804,9 @@ def test_spin_nu_never_reaches_the_lorentz_layer(monkeypatch, capsys):
     counting_eta4 = counted("eta4", quatmat.eta4)
     monkeypatch.setattr(quatmat, "eta4", counting_eta4)
     monkeypatch.setattr(cli, "eta4", counting_eta4)
-    monkeypatch.setattr(quatmat.LorentzMatrix5, "__init__",
-                        counted("LorentzMatrix5", quatmat.LorentzMatrix5.__init__))
+    for name in ("__init__", "__mul__", "apply"):
+        monkeypatch.setattr(quatmat.LorentzMatrix5, name,
+                            counted("LorentzMatrix5", getattr(quatmat.LorentzMatrix5, name)))
     for dim, phat, x in payloads:
         code, out, err = run_cli(capsys, "spin-nu", "--dim", dim, "--phat", phat, "--x", x)
         assert code == 0 and err == "", (dim, err)
@@ -890,6 +943,53 @@ def test_verify_failures_say_what_they_saw(tmp_path, monkeypatch, capsys):
     code, out, err = run_cli(capsys, "verify")
     assert code == 1 and err == ""
     assert _failed_checks(out) == _SEEDED_VERIFY_FAILURES
+
+
+_FAULT_VALUES = (("fp_count", (0, 2, 4, 6, 8, 10, 12, 26, 122, "inf")),
+                 ("spin", ([0, 0], [1, -2], [-1, 2], [2, -4], [-2, 4], [5, -10], [-5, 10])),
+                 ("provenance", spinindex.PROVENANCE_TAGS))
+
+# The changes of the seeded sample below that the loader and the four data
+# checks let through, in the order of the matrix: fp_count values that no
+# rule ties to the geometry (160 of the whole matrix of 612 pass unseen).
+_UNSEEN_FAULTS = [
+    ("1×1", "fp_count", 10), ("1×1", "fp_count", 12), ("1×5A+5B×1", "fp_count", 0),
+    ("1×5A+5B×1", "fp_count", "inf"), ("1×5B+5A×1", "fp_count", 10),
+    ("5A×5B", "fp_count", "inf"), ("[1×2]", "fp_count", 0), ("[1×2]", "fp_count", 8),
+    ("[1×1]", "fp_count", 12), ("[1×1]", "fp_count", 26), ("4×4", "fp_count", 2),
+    ("4×4", "fp_count", 10), ("[1×6]", "fp_count", 12), ("[1×6]", "fp_count", 122),
+    ("[1×4]", "fp_count", 8), ("[1×4]", "fp_count", 122), ("[1×10A]", "fp_count", 4),
+    ("[1×10A]", "fp_count", 122), ("[1×5B]", "fp_count", 0), ("[1×5B]", "fp_count", 10)]
+
+
+def test_seeded_fault_sample_misses_exactly_the_recorded_changes(tmp_path, monkeypatch):
+    """A ratchet on the seeded-fault matrix of the bundled spin data: each
+    row's fp_count, spin or provenance set to every other value of its
+    column, 612 single-field changes. A seeded sample of 96 is loaded and run
+    through verify's four data checks; the changes that no rule and no check
+    catches must be exactly the recorded list. Catching more shrinks the list."""
+    changes = [(record["name"], field, value) for record in _BUNDLED_ROWS
+               for field, values in _FAULT_VALUES for value in values
+               if value != record[field]]
+    assert len(changes) == 612
+    checks = dict(cli._verify_checks())
+    data = tmp_path / "table.json"
+    monkeypatch.setenv("SPININDEX_DATA", str(data))
+    unseen = []
+    for index in sorted(random.Random(16).sample(range(len(changes)), 96)):
+        name, field, value = changes[index]
+        data.write_text(json.dumps({"rows": [
+            dict(record, **{field: value}) if record["name"] == name else record
+            for record in _BUNDLED_ROWS]}), encoding="utf-8")
+        try:
+            spinindex.davis_table()
+            for check in ("index-decomposition", "spin-antisymmetry", "spin-norm",
+                          "spin-two-fixed-points"):
+                checks[check]()
+        except (AssertionError, spinindex.DataInconsistencyError):
+            continue
+        unseen.append(changes[index])
+    assert unseen == _UNSEEN_FAULTS
 
 
 def test_verify_fails_under_optimized_python(tmp_path):

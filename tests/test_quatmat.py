@@ -97,6 +97,37 @@ def test_quaternion_power():
     assert icosa.G1 ** -1 == icosa.G1.inverse()
 
 
+def hamilton_product(p: Quaternion, q: Quaternion) -> Quaternion:
+    """p q by the full Hamilton formula on the exact coordinates."""
+    w1, x1, y1, z1 = p.coords
+    w2, x2, y2, z2 = q.coords
+    return Quaternion(w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+                      w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+                      w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+                      w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
+
+
+def test_products_with_a_zero_factor_match_the_full_product():
+    """A product with a zero factor skips the scalar work; it must give the
+    zero the full formula gives, in value, coordinate type and text, for the
+    entries of sigma-hat (pure kappa, golden, and golden zeros) and zeros
+    with golden, kappa-typed or mixed coordinates."""
+    _, sigma_hat = spinindex.davis_sigma_data()
+    zeros = [Quaternion(), Quaternion(*[QuadExtNumber()] * 4),
+             Quaternion(ZERO, QuadExtNumber(), ZERO, ZERO)]
+    factors = [sigma_hat.a, sigma_hat.b, sigma_hat.c, sigma_hat.d, QUAT_ONE,
+               Quaternion(0, *[KAPPA] * 3), *zeros]
+    kinds = set()
+    for zero in zeros:
+        for other in factors:
+            for x, y in ((zero, other), (other, zero)):
+                got, want = x * y, hamilton_product(x, y)
+                assert got == want and str(got) == str(want), (x, y)
+                assert [type(c) for c in got.coords] == [type(c) for c in want.coords]
+                kinds.add(type(got.re).__name__)
+    assert kinds == {"GoldenNumber", "QuadExtNumber"}
+
+
 def test_spinmatrix4_membership_enforced():
     with pytest.raises(InvalidElementError):
         SpinMatrix4(QUAT_ONE, QUAT_ONE, Quaternion(0), QUAT_ONE)
@@ -266,6 +297,50 @@ def test_integer_eta4_matches_the_exact_scalar_forms():
                 kinds.add(type(got).__name__ + ("" if type(got) is GoldenNumber
                                                  else str(got.ext.is_zero())))
     assert kinds == {"GoldenNumber", "QuadExtNumberTrue", "QuadExtNumberFalse"}
+
+
+def mat_mul(a, b):
+    """Matrix product over any ring of exact scalars: each sum starts from
+    its first product, so the entry type is the scalars' own. The reference
+    for the integer products of LorentzMatrix5."""
+    n, m, p = len(a), len(b), len(b[0])
+    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(1, m)),
+                           start=a[i][0] * b[0][j]) for j in range(p))
+                 for i in range(n))
+
+
+def assert_same_entries(got, want, where):
+    """Each entry of got equals that of want in value, scalar type and text."""
+    for i, (got_row, want_row) in enumerate(zip(got, want, strict=True)):
+        for j, (g, w) in enumerate(zip(got_row, want_row, strict=True)):
+            assert g == w and type(g) is type(w), (where, i, j)
+            assert str(g) == str(w), (where, i, j)
+
+
+def test_integer_lorentz_products_match_exact_scalar_products():
+    """LorentzMatrix5 products and apply run on integer coordinates; each
+    entry must equal the exact-scalar product in value, type and text, on
+    images of seeded lift words, on sigma (kappa entries in some rows and
+    columns only) and sigma-hat words, in both orders."""
+    sigma, sigma_hat = spinindex.davis_sigma_data()
+    words = davis_words(23, 8)
+    images = [sigma, *(eta4(w) for w in words), eta4(sigma_hat * words[0])]
+    kinds = set()
+    for left, right in zip(images, images[1:] + images[:1]):
+        for x, y in ((left, right), (right, left)):
+            product = x * y
+            assert_same_entries(product.rows, mat_mul(x.rows, y.rows), (x, y))
+            kinds.add(frozenset(type(v).__name__ for row in product.rows for v in row))
+    assert kinds == {frozenset({"GoldenNumber"}), frozenset({"QuadExtNumber"}),
+                     frozenset({"GoldenNumber", "QuadExtNumber"})}
+    kappa_point = sigma.apply(APEX)
+    assert any(isinstance(v, QuadExtNumber) for v in kappa_point.coords)
+    assert any(isinstance(v, GoldenNumber) for v in kappa_point.coords)
+    for image in images:
+        for point in (APEX, kappa_point):
+            want = mat_mul(image.rows, [(v,) for v in point.coords])
+            assert_same_entries([(v,) for v in image.apply(point).coords], want,
+                                (image, point))
 
 
 def test_lorentz_form_check_rejects_each_moved_entry():
