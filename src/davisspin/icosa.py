@@ -62,30 +62,31 @@ def _is_even_permutation(perm: tuple[int, ...]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def enumerate_2I() -> tuple[Quaternion, ...]:
-    """All 120 unit icosians: the 24 Lipschitz-type units together with the 96
-    even coordinate permutations of (0, 1, tau, tau-1)/2 with free signs."""
-    elements: set[Quaternion] = set()
-    for axis in range(4):
-        for sign in (1, -1):
-            coords = [ZERO] * 4
-            coords[axis] = GoldenNumber(sign)
-            elements.add(Quaternion(*coords))
-    for signs in product((1, -1), repeat=4):
-        elements.add(Quaternion(*(GoldenNumber(Fraction(s, 2)) for s in signs)))
-    values = (ZERO, ONE, TAU, TAU - 1)
-    for perm in permutations(range(4)):
-        if not _is_even_permutation(perm):
-            continue
+def _icosians() -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[Quaternion, ...]]:
+    """The 120 unit icosians as four doubled coordinates (2a, 2b) each, and as
+    Quaternions built once from them, in element_key order: (+-2, 0) on one
+    axis, (+-1, 0) on all four, and the even permutations of (0, 0), (1, 0),
+    (0, 1), (-1, 1), i.e. of (0, 1, tau, tau-1)/2, with free signs."""
+    doubled = {tuple((sign, 0) if slot == axis else (0, 0) for slot in range(4))
+               for axis in range(4) for sign in (2, -2)}
+    doubled.update(product(((1, 0), (-1, 0)), repeat=4))
+    values = ((0, 0), (1, 0), (0, 1), (-1, 1))
+    for perm in filter(_is_even_permutation, permutations(range(4))):
         for signs in product((1, -1), repeat=4):
-            coords = [ZERO] * 4
-            for slot, value_index in enumerate(perm):
-                coords[slot] = values[value_index] * Fraction(signs[slot], 2)
-            elements.add(Quaternion(*coords))
-    ordered = sorted(elements, key=element_key)
+            doubled.add(tuple((s * values[v][0], s * values[v][1])
+                              for s, v in zip(signs, perm)))
+    halves = {c: GoldenNumber(Fraction(c[0], 2), Fraction(c[1], 2))
+              for c in {c for x in doubled for c in x}}
+    ordered = sorted(((x, Quaternion(*map(halves.get, x))) for x in doubled),
+                     key=lambda pair: element_key(pair[1]))
     if len(ordered) != 120:
         raise RuntimeError(f"enumeration produced {len(ordered)} elements")
-    return tuple(ordered)
+    return tuple(zip(*ordered))
+
+
+def enumerate_2I() -> tuple[Quaternion, ...]:
+    """All 120 unit icosians, in element_key order (see _icosians)."""
+    return _icosians()[1]
 
 
 def golden_pairing(weights, xs, ys) -> tuple[int, int]:
@@ -110,14 +111,6 @@ def golden_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
 _HAMILTON = tuple((signs, itemgetter(*order)) for signs, order in (
     ((1, -1, -1, -1), (0, 1, 2, 3)), ((1, 1, 1, -1), (1, 0, 3, 2)),
     ((1, -1, 1, 1), (2, 3, 0, 1)), ((1, 1, -1, 1), (3, 2, 1, 0))))
-
-
-def _doubled(value: GoldenNumber) -> tuple[int, int]:
-    """(2a, 2b) for value = a + b*tau with a, b in Z/2."""
-    a, b = 2 * value.a, 2 * value.b
-    if a.denominator != 1 or b.denominator != 1:
-        raise RuntimeError(f"coordinate outside Z[tau]/2: {value}")
-    return (int(a), int(b))
 
 
 def _icosian_product(x: tuple, y: tuple) -> tuple:
@@ -160,13 +153,12 @@ def tables() -> IcosianTables:
     Only the rows of the two generators are icosian products: row(g*a) is
     row(g) composed with row(a), because g*a*b = g*(a*b), and alpha(g*a) is
     alpha(g)*alpha(a), both filled in by one breadth-first walk from 1."""
-    elements = enumerate_2I()
+    ints, elements = _icosians()
     index = {q: i for i, q in enumerate(elements)}
-    ints = tuple(tuple(_doubled(c) for c in q.coords) for q in elements)
     position = {x: i for i, x in enumerate(ints)}
     inv = tuple(position[(x[0], *((-a, -b) for a, b in x[1:]))] for x in ints)
     neg = tuple(position[tuple((-a, -b) for a, b in x)] for x in ints)
-    re_to_label = {_doubled(re): label for label, re in CLASS_RE.items()}
+    re_to_label = {(int(2 * re.a), int(2 * re.b)): label for label, re in CLASS_RE.items()}
     label = tuple(re_to_label[x[0]] for x in ints)
 
     one, identity = index[QUAT_ONE], tuple(range(120))

@@ -76,11 +76,6 @@ class Quaternion:
             w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
             w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
 
-    def __rmul__(self, other: ScalarLike) -> Quaternion:
-        if isinstance(other, (int, Fraction, GoldenNumber, QuadExtNumber)):
-            return Quaternion(*(other * s for s in self._coords))
-        return NotImplemented
-
     def __pow__(self, exponent: int) -> Quaternion:
         return power(self, exponent, QUAT_ONE)
 
@@ -488,9 +483,6 @@ class _HyperboloidPoint:
         if type(other) is not type(self):
             return NotImplemented
         return all(a == b for a, b in zip(self._coords, other._coords))
-
-    def real(self) -> tuple[float, ...]:
-        return tuple(v.real() for v in self._coords)
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(v) for v in self._coords) + ")"

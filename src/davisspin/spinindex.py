@@ -220,9 +220,19 @@ def davis_table() -> tuple[DavisSpinRow, ...]:
     against the computed class structure by the rule of its provenance."""
     path = _data_path()
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
     except OSError as error:
         raise DataInconsistencyError(f"cannot read spin data: {error}") from error
+    except ValueError as error:
+        raise DataInconsistencyError(f"malformed spin data: {error}") from error
+    return _parsed_table(str(path), text)
+
+
+@lru_cache(maxsize=8)
+def _parsed_table(path: str, text: str) -> tuple[DavisSpinRow, ...]:
+    """davis_table() of one file content; a bad text raises on every call."""
+    try:
+        payload = json.loads(text)
     except (ValueError, RecursionError) as error:
         raise DataInconsistencyError(f"malformed spin data: {error}") from error
     if not isinstance(payload, dict) or not isinstance(payload.get("rows"), list):
@@ -368,15 +378,21 @@ class IndexDecomposition:
 
 
 def decompose_davis_index() -> IndexDecomposition:
+    """Each multiplicity is one integer row pairing; every spin is in Z[tau]."""
     _, values = davis_spin_character()
     chars = reptheory.chartable_ghat()
+    spins = tuple((int(value.a), int(value.b)) for value in values)
+    sizes = [cls.size for cls in ghat.conjugacy_classes()]
+    order = ghat.group_order()
     multiplicities = []
-    for character, value in zip(chars, reptheory.decompose(values)):
-        if value.b != 0 or value.a.denominator != 1:
+    for label, row in reptheory._integer_table():
+        a, b = icosa.golden_pairing(sizes, spins, row)
+        if b or a % order:
+            value = GoldenNumber(Fraction(a, order), Fraction(b, order))
             raise DataInconsistencyError(
-                f"non-integral multiplicity {value} of {character.label.render()} "
+                f"non-integral multiplicity {value} of {label.render()} "
                 "in the index decomposition")
-        multiplicities.append(int(value.a))
+        multiplicities.append(a // order)
     positives = [chars[i] for i, m in enumerate(multiplicities) if m == 1]
     negatives = [chars[i] for i, m in enumerate(multiplicities) if m == -1]
     others = [m for m in multiplicities if m not in (0, 1, -1)]

@@ -787,6 +787,45 @@ def test_verify_products_skip_exact_scalar_work(monkeypatch, capsys):
                       "quaternion products": 754, "zero factor": 534}
 
 
+def test_cold_icosian_tables_make_no_golden_products():
+    """A work-count guard: a cold icosa.tables(), in a fresh interpreter since
+    it is cached per process, enumerates 2I on doubled integer coordinates
+    and makes no GoldenNumber multiplication. Built from exact coordinates
+    it made 768."""
+    code = ("from davisspin import icosa\n"
+            "from davisspin.exactfield import GoldenNumber\n"
+            "count, mul = [0], GoldenNumber.__mul__\n"
+            "def counting(self, other):\n"
+            "    count[0] += 1\n"
+            "    return mul(self, other)\n"
+            "GoldenNumber.__mul__ = GoldenNumber.__rmul__ = counting\n"
+            "print(len(icosa.tables().mul), count[0])\n")
+    src = str(Path(icosa.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=env, timeout=60)
+    assert result.returncode == 0 and result.stdout == "120 0\n", (result.stdout,
+                                                                  result.stderr)
+
+
+def test_warm_index_decomposition_makes_no_golden_products(monkeypatch):
+    """A work-count guard: once built, decompose_davis_index() pairs integer
+    rows and makes no GoldenNumber multiplication. Through
+    reptheory.decompose it made 5,832."""
+    spinindex.decompose_davis_index()
+    count = [0]
+    golden_mul = GoldenNumber.__mul__
+
+    def counting_mul(self, other):
+        count[0] += 1
+        return golden_mul(self, other)
+
+    monkeypatch.setattr(GoldenNumber, "__mul__", counting_mul)
+    monkeypatch.setattr(GoldenNumber, "__rmul__", counting_mul)
+    assert spinindex.decompose_davis_index().harmonic_minimum == 24
+    assert count == [0]
+
+
 def test_spin_nu_never_reaches_the_lorentz_layer(monkeypatch, capsys):
     """A work-count guard on the separation the benchmark relies on: a 4-D
     and a 2-D spin-nu call (boosted fixed points, as in the spin-nu stream)

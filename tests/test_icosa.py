@@ -25,6 +25,18 @@ def test_enumeration_counts():
     assert len(elements) - len(rational) == 96
 
 
+def test_enumeration_order_and_doubled_coordinates():
+    """enumerate_2I() is in element_key order, on which every index triple
+    and class representative rests, and tables().coords holds twice the a
+    and b parts of each coordinate of the element at the same index."""
+    elements = icosa.enumerate_2I()
+    assert list(elements) == sorted(elements, key=icosa.element_key)
+    assert icosa.tables().coords == tuple(
+        tuple((int(2 * c.a), int(2 * c.b)) for c in q.coords) for q in elements)
+    assert all(2 * c.a == int(2 * c.a) and 2 * c.b == int(2 * c.b)
+               for q in elements for c in q.coords)
+
+
 def test_closure_under_multiplication():
     elements = set(icosa.enumerate_2I())
     rng = random.Random(2)

@@ -276,6 +276,19 @@ def test_index_decomposition():
     assert decomposition.multiplicities[sixty] == 0
 
 
+def assert_decomposition_routes_agree():
+    """The integer row pairings of decompose_davis_index give the same
+    multiplicities as reptheory.decompose on the spin values, read as ints."""
+    _, values = davis_spin_character()
+    exact = reptheory.decompose(values)
+    assert all(m.b == 0 and m.a.denominator == 1 for m in exact)
+    assert decompose_davis_index().multiplicities == tuple(int(m.a) for m in exact)
+
+
+def test_index_decomposition_matches_the_rational_route():
+    assert_decomposition_routes_agree()
+
+
 def test_sigma_data():
     sigma, sigma_hat = davis_sigma_data()
     identity = SpinMatrix4.diagonal(QUAT_ONE, QUAT_ONE)
@@ -340,6 +353,31 @@ def test_data_override_roundtrip(tmp_path, monkeypatch):
     assert len(rows) == 34
     decomposition = decompose_davis_index()
     assert decomposition.harmonic_minimum == 24
+    assert_decomposition_routes_agree()
+
+
+def test_data_table_is_parsed_once_per_content(tmp_path, monkeypatch):
+    """davis_table() reads the file on every call and parses each content
+    once: a rewrite is seen at once, and a bad file raises on every call."""
+    path = write_rows(tmp_path, lambda payload: None)
+    original = Path(path).read_text(encoding="utf-8")
+    monkeypatch.setenv("SPININDEX_DATA", path)
+    first = davis_table()
+    assert davis_table() is first
+
+    def bump(payload):
+        for record in payload["rows"]:
+            if record["name"] == "1×5A+5B×1":
+                record["spin"][0] += 1
+    recorded = {row.name: row.spin for row in first}["1×5A+5B×1"]
+    write_rows(tmp_path, bump)
+    assert {row.name: row.spin for row in davis_table()}["1×5A+5B×1"] == recorded + 1
+    Path(path).write_text(original, encoding="utf-8")
+    assert davis_table() is first
+    Path(path).write_text("{not json", encoding="utf-8")
+    for _ in range(2):
+        with pytest.raises(DataInconsistencyError, match="^malformed spin data"):
+            davis_table()
 
 
 def test_data_corruption_detected(tmp_path, monkeypatch):
@@ -378,14 +416,25 @@ def test_data_wrong_class_size_detected(tmp_path, monkeypatch):
 
 
 def test_data_corrupted_spin_breaks_integrality(tmp_path, monkeypatch):
-    def bump(payload):
-        for record in payload["rows"]:
-            if record["name"] == "1×5A+5B×1":
-                record["spin"] = [record["spin"][0] + 1, record["spin"][1]]
-    monkeypatch.setenv("SPININDEX_DATA", write_rows(tmp_path, bump))
-    with pytest.raises(DataInconsistencyError,
-                       match=r"^non-integral multiplicity .* of \(1⊗2'\)⊕\(2⊗1\) in "):
-        decompose_davis_index()
+    """A spin moved by a + b*tau. In the first non-integral pairing, (1, 0) and
+    (0, 1) leave a tau part and a rational part that the group order does not
+    divide, (1, 1) only the latter and (0, 600) only a tau part, -1 + tau.
+    Each reports the value that decompose gives."""
+    for step in ((1, 0), (0, 1), (1, 1), (0, 600)):
+        def bump(payload):
+            for record in payload["rows"]:
+                if record["name"] == "1×5A+5B×1":
+                    record["spin"] = [record["spin"][0] + step[0],
+                                      record["spin"][1] + step[1]]
+        monkeypatch.delenv("SPININDEX_DATA", raising=False)
+        monkeypatch.setenv("SPININDEX_DATA", write_rows(tmp_path, bump))
+        with pytest.raises(DataInconsistencyError, match=r"^non-integral multiplicity "
+                           r".* of \(1⊗2'\)⊕\(2⊗1\) in ") as raised:
+            decompose_davis_index()
+        exact = reptheory.decompose(davis_spin_character()[1])
+        value = next(m for m in exact if m.b != 0 or m.a.denominator != 1)
+        assert (value.b == 0) == (step == (1, 1)), step
+        assert str(raised.value).startswith(f"non-integral multiplicity {value} of ")
 
 
 def test_data_formula_mismatch_detected(tmp_path, monkeypatch):
